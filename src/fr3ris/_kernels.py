@@ -1,49 +1,20 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Inner solver of the SCA power surrogate and the projection it uses.
 
-Backend selection happens once at import time:
-  * numba importable and FR3_NO_NUMBA unset/false  -> @njit kernels
-  * otherwise                                      -> vectorized numpy twins
-
-Each kernel also remains importable under an explicit name
-(``*_numpy`` / ``*_numba``) so benchmarks/bench_kernels.py can compare
-the two paths directly.
+`solve_inner` reaches `project_capped_simplex` and `surrogate_value`
+through module globals, so wrapping either name here wraps every call
+the solver makes.
 """
-
-import os
 
 import numpy as np
 
-try:
-    import numba
-except ImportError:
-    numba = None
-
-
-def _env_flag(name):
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-HAS_NUMBA = numba is not None
-USE_NUMBA = HAS_NUMBA and not _env_flag("FR3_NO_NUMBA")
-
 _LN2 = float(np.log(2.0))
-
-
-def backend():
-    return "numba" if USE_NUMBA else "numpy"
-
-
-def _jit(f):
-    if USE_NUMBA:
-        return numba.njit(f, cache=True)
-    return f
 
 
 # ---------------------------------------------------------------------------
 # Euclidean projection onto {q : q >= 0, sum(q) <= p_max}
 # ---------------------------------------------------------------------------
 
-def _project_impl(y, p_max):
+def project_capped_simplex(y, p_max):
     q = np.maximum(y, 0.0)
     if np.sum(q) <= p_max:
         return q
@@ -59,73 +30,6 @@ def _project_impl(y, p_max):
     return np.maximum(y - tau, 0.0)
 
 
-project_capped_simplex_numpy = _project_impl
-project_capped_simplex = _jit(_project_impl)
-
-
-# ---------------------------------------------------------------------------
-# Complex reductions
-# ---------------------------------------------------------------------------
-
-def _hermitian_dot_loops(a, b):
-    acc = 0.0 + 0.0j
-    for i in range(a.shape[0]):
-        acc += np.conj(a[i]) * b[i]
-    return acc
-
-
-def hermitian_dot_numpy(a, b):
-    return np.vdot(a, b)
-
-
-def _matvec_hermitian_loops(h, x):
-    m, n = h.shape
-    out = np.zeros(n, dtype=np.complex128)
-    for i in range(m):
-        xi = x[i]
-        for j in range(n):
-            out[j] += np.conj(h[i, j]) * xi
-    return out
-
-
-def matvec_hermitian_numpy(h, x):
-    return x @ np.conj(h)
-
-
-# ---------------------------------------------------------------------------
-# Link-gain matrix: g[k, i] = |<h_direct[k] + cascade_of(i) at k, w_i>|^2
-# where <x, w> = sum_n conj(x_n) w_n and cascade gating follows the
-# interferer's RIS assignment (ris_of[i] == -1 means direct only).
-# ---------------------------------------------------------------------------
-
-def _gains_loops(h_direct, cascades, ris_of, directions):
-    k_users, n_ant = h_direct.shape
-    g = np.empty((k_users, k_users), dtype=np.float64)
-    for i in range(k_users):
-        li = ris_of[i]
-        for k in range(k_users):
-            acc = 0.0 + 0.0j
-            if li >= 0:
-                for n in range(n_ant):
-                    acc += np.conj(h_direct[k, n] + cascades[li, k, n]) * directions[i, n]
-            else:
-                for n in range(n_ant):
-                    acc += np.conj(h_direct[k, n]) * directions[i, n]
-            g[k, i] = acc.real * acc.real + acc.imag * acc.imag
-    return g
-
-
-def gains_numpy(h_direct, cascades, ris_of, directions):
-    k_users = h_direct.shape[0]
-    g = np.empty((k_users, k_users), dtype=np.float64)
-    for i in range(k_users):
-        li = ris_of[i]
-        h = h_direct if li < 0 else h_direct + cascades[li]
-        inner = np.conj(h) @ directions[i]
-        g[:, i] = inner.real ** 2 + inner.imag ** 2
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Inner solver of the concave power surrogate:
 #   maximize  sum_k log2(g[k, :] @ p + sigma2[k]) - rho_col @ p
@@ -136,17 +40,13 @@ def gains_numpy(h_direct, cascades, ris_of, directions):
 # face in unit-bounded increments.
 # ---------------------------------------------------------------------------
 
-def _surrogate_value_impl(g, sigma2, rho_col, p):
+def surrogate_value(g, sigma2, rho_col, p):
     d = g @ p + sigma2
     return np.sum(np.log2(d)) - np.dot(rho_col, p)
 
 
-surrogate_value_numpy = _surrogate_value_impl
-surrogate_value = _jit(_surrogate_value_impl)
-
-
-def _solve_inner_impl(g, sigma2, rho_col, p0, p_max, tol, max_iter,
-                      armijo_c, armijo_beta):
+def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter,
+                armijo_c, armijo_beta):
     gt = g.T.copy()
     p = project_capped_simplex(p0, p_max)
     f_cur = surrogate_value(g, sigma2, rho_col, p)
@@ -192,27 +92,3 @@ def _solve_inner_impl(g, sigma2, rho_col, p0, p_max, tol, max_iter,
         p = q
         f_cur = f_new
     return p, n_iter, converged
-
-
-solve_inner_numpy = _solve_inner_impl
-solve_inner = _jit(_solve_inner_impl)
-
-
-if USE_NUMBA:
-    hermitian_dot = numba.njit(_hermitian_dot_loops, cache=True)
-    hermitian_dot_numba = hermitian_dot
-    matvec_hermitian = numba.njit(_matvec_hermitian_loops, cache=True)
-    matvec_hermitian_numba = matvec_hermitian
-    gains = numba.njit(_gains_loops, cache=True)
-    gains_numba = gains
-    project_capped_simplex_numba = project_capped_simplex
-    solve_inner_numba = solve_inner
-else:
-    hermitian_dot = hermitian_dot_numpy
-    hermitian_dot_numba = None
-    matvec_hermitian = matvec_hermitian_numpy
-    matvec_hermitian_numba = None
-    gains = gains_numpy
-    gains_numba = None
-    project_capped_simplex_numba = None
-    solve_inner_numba = None

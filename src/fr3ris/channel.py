@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, numerics
+from . import numerics
 from .errors import DimensionError, NumericError
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -222,7 +222,7 @@ def compute_gains(channels, ris, assoc, directions, noise_power_w):
     gamma = _gamma_matrix(assoc)
     ris_of = _ris_of(gamma)
     k_count, n = channels.direct.shape
-    directions = np.asarray(directions, dtype=np.complex128)
+    directions = np.ascontiguousarray(directions, dtype=np.complex128)
     if directions.shape != (k_count, n):
         raise DimensionError(
             f"directions must be ({k_count}, {n}), got {directions.shape}")
@@ -232,8 +232,13 @@ def compute_gains(channels, ris, assoc, directions, noise_power_w):
         for k in range(k_count):
             cascades[l, k] = numerics.matvec_hermitian(
                 channels.ap_ris[l], coeffs * channels.ris_iu[l, k])
-    g = _kernels.gains(np.ascontiguousarray(channels.direct), cascades,
-                       ris_of, np.ascontiguousarray(directions))
+    direct = np.ascontiguousarray(channels.direct)
+    g = np.empty((k_count, k_count), dtype=np.float64)
+    for i in range(k_count):
+        li = ris_of[i]
+        h = direct if li < 0 else direct + cascades[li]
+        inner = np.conj(h) @ directions[i]
+        g[:, i] = inner.real ** 2 + inner.imag ** 2
     return GainMatrix(g=g, noise_power=noise_power_w)
 
 

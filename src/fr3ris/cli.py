@@ -9,11 +9,13 @@ arguments, 3 numeric domain, 4 I/O, 5 oversized enumeration.
 
 import argparse
 import logging
+import os
 import sys
+import tempfile
 
 from . import __version__
 from .config import (SCHEME_NAMES, ScenarioConfig, format_config,
-                     load_config, watt_to_dbm)
+                     load_config, parse_schemes, watt_to_dbm)
 from .errors import ConfigError, DimensionError, NumericError, SizeError
 from .experiment import emit_csv, sweep
 
@@ -79,16 +81,8 @@ def _load(args):
                 f"--realizations must be >= 1, got {args.realizations}")
         cfg = cfg.with_updates(realizations=args.realizations)
     if args.schemes is not None:
-        names = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-        if not names:
-            raise ConfigError("--schemes list must not be empty")
-        for s in names:
-            if s not in SCHEME_NAMES:
-                raise ConfigError(
-                    f"--schemes: {s!r} not one of {', '.join(SCHEME_NAMES)}")
-        if len(set(names)) != len(names):
-            raise ConfigError("--schemes: duplicate entries")
-        cfg = cfg.with_updates(schemes=names)
+        cfg = cfg.with_updates(
+            schemes=parse_schemes(args.schemes, "--schemes"))
     return cfg
 
 
@@ -110,9 +104,12 @@ def _parse_values(raw, cast, what):
 
 
 def _probe_output(path):
-    # fail on unwritable paths before burning compute
+    # fail on unwritable paths before burning compute, without creating
+    # anything at `path`: emit_csv writes beside it and renames
+    if os.path.isdir(path):
+        raise OSError(f"output path {path} is a directory")
     try:
-        with open(path, "a", encoding="utf-8"):
+        with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
             pass
     except OSError as exc:
         raise OSError(f"output path {path} is not writable: {exc}") from exc

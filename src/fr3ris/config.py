@@ -46,9 +46,6 @@ class ScenarioConfig:
     iu_height_m: float = 1.5
     min_ap_iu_separation_m: float = 1.0
     pathloss_exponent: float = 2.0
-    # retained for completeness; the center-distance channel model never
-    # reads it (see channel module notes)
-    element_spacing_wavelengths: float = 0.5
     inner_tol: float = 1e-8
     inner_max_iter: int = 500
     outer_tol: float = 1e-6
@@ -123,8 +120,6 @@ _FLOAT_KEYS = {
     "min_ap_iu_separation_m": ("min_ap_iu_separation_m", "m", 1.0,
                                _nonneg, ">= 0"),
     "pathloss_exponent": ("pathloss_exponent", "", 1.0, _positive, "> 0"),
-    "element_spacing_wavelengths": ("element_spacing_wavelengths", "", 1.0,
-                                    _positive, "> 0"),
     "inner_tol": ("inner_tol", "", 1.0, _positive, "> 0"),
     "outer_tol": ("outer_tol", "", 1.0, _positive, "> 0"),
 }
@@ -151,6 +146,20 @@ def _parse_bool(raw, key):
     if low in _FALSE:
         return False
     raise ConfigError(f"{key}: cannot parse {raw!r} as a boolean")
+
+
+def parse_schemes(raw, label):
+    """Comma list of distinct scheme names; `label` prefixes errors."""
+    names = tuple(s.strip() for s in raw.split(",") if s.strip())
+    if not names:
+        raise ConfigError(f"{label}: list must not be empty")
+    for s in names:
+        if s not in SCHEME_NAMES:
+            raise ConfigError(
+                f"{label}: {s!r} not one of {', '.join(SCHEME_NAMES)}")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"{label}: duplicate entries")
+    return names
 
 
 def _apply_key(out, key, raw):
@@ -180,16 +189,7 @@ def _apply_key(out, key, raw):
     elif key == "greedy_multi_round":
         out[key] = _parse_bool(raw, key)
     elif key == "schemes":
-        names = tuple(s.strip() for s in raw.split(",") if s.strip())
-        if not names:
-            raise ConfigError("schemes: list must not be empty")
-        for s in names:
-            if s not in SCHEME_NAMES:
-                raise ConfigError(
-                    f"schemes: {s!r} not one of {', '.join(SCHEME_NAMES)}")
-        if len(set(names)) != len(names):
-            raise ConfigError("schemes: duplicate entries")
-        out[key] = names
+        out[key] = parse_schemes(raw, key)
     elif key == "power_sweep_dbm":
         vals = tuple(_parse_number(v.strip(), key, float)
                      for v in raw.split(",") if v.strip())

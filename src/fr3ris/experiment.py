@@ -15,6 +15,7 @@ schemes ran alongside it. Sweep aggregation reduces in realization-index
 order, making CSV output bitwise stable under any FR3_THREADS setting.
 """
 
+import contextlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -188,10 +189,16 @@ def format_csv(result):
 
 
 def emit_csv(result, path):
-    """Write the sweep as UTF-8, LF-only CSV; 17 significant digits."""
+    """Write the sweep as UTF-8, LF-only CSV; 17 significant digits. The
+    text goes to a temp file beside `path` that then replaces it, so a
+    failed write leaves no partial CSV."""
     text = format_csv(result)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc

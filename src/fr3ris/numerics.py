@@ -1,61 +1,25 @@
-"""Validated numeric primitives shared by the channel and power modules.
-
-Thin wrappers around the dual-backend kernels in _kernels: coerce dtypes,
-check shapes and finiteness, then dispatch to whichever backend is active.
-"""
+"""Validated Hermitian matrix-vector product for the channel module."""
 
 import numpy as np
 
-from . import _kernels
-from .errors import DimensionError, NumericError
-
-
-def _as_complex_vector(x, name):
-    a = np.asarray(x, dtype=np.complex128)
-    if a.ndim != 1:
-        raise DimensionError(f"{name} must be a 1-d vector, got shape {a.shape}")
-    return a
-
-
-def hermitian_dot(a, b):
-    """Inner product conj(a) . b of two equal-length complex vectors."""
-    av = _as_complex_vector(a, "a")
-    bv = _as_complex_vector(b, "b")
-    if av.shape != bv.shape:
-        raise DimensionError(
-            f"length mismatch: a has {av.shape[0]}, b has {bv.shape[0]}"
-        )
-    return complex(_kernels.hermitian_dot(av, bv))
+from .errors import DimensionError
 
 
 def matvec_hermitian(h, x):
     """H^H x for a complex matrix H of shape (m, n) and vector x of length m."""
     hm = np.asarray(h, dtype=np.complex128)
-    xv = _as_complex_vector(x, "x")
+    xv = np.asarray(x, dtype=np.complex128)
+    if xv.ndim != 1:
+        raise DimensionError(f"x must be a 1-d vector, got shape {xv.shape}")
     if hm.ndim != 2:
         raise DimensionError(f"h must be a 2-d matrix, got shape {hm.shape}")
     if hm.shape[0] != xv.shape[0]:
         raise DimensionError(
             f"h has {hm.shape[0]} rows but x has length {xv.shape[0]}"
         )
-    return _kernels.matvec_hermitian(np.ascontiguousarray(hm), xv)
-
-
-def project_to_power_set(p, p_max):
-    """Euclidean projection of p onto {q : q >= 0, sum(q) <= p_max}."""
-    pv = np.asarray(p, dtype=np.float64)
-    if pv.ndim != 1:
-        raise DimensionError(f"p must be a 1-d vector, got shape {pv.shape}")
-    if pv.shape[0] == 0:
-        raise DimensionError("p must be non-empty")
-    if not np.all(np.isfinite(pv)):
-        raise NumericError("p contains non-finite entries")
-    p_max = float(p_max)
-    if not np.isfinite(p_max) or p_max <= 0.0:
-        raise NumericError(f"p_max must be a positive finite scalar, got {p_max}")
-    return _kernels.project_capped_simplex(np.ascontiguousarray(pv), p_max)
+    return xv @ np.conj(np.ascontiguousarray(hm))
 
 
 def backend():
-    """Name of the active kernel backend, 'numba' or 'numpy'."""
-    return _kernels.backend()
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"

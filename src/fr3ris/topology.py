@@ -47,11 +47,10 @@ class NetworkTopology:
             as_position(r, f"ris[{i}]")
         for i, u in enumerate(ius):
             as_position(u, f"iu[{i}]")
+        # equal rows are adjacent once sorted lexicographically
         nodes = np.vstack([ap[None, :], riss, ius])
-        diff = nodes[:, None, :] - nodes[None, :, :]
-        d = np.sqrt((diff ** 2).sum(axis=2))
-        np.fill_diagonal(d, np.inf)
-        if d.min() <= 0.0:
+        nodes = nodes[np.lexsort(nodes.T[::-1])]
+        if np.any(np.all(nodes[1:] == nodes[:-1], axis=1)):
             raise ConfigError("co-located nodes in topology")
         object.__setattr__(self, "ap", ap)
         object.__setattr__(self, "riss", riss)

@@ -69,3 +69,21 @@ def random_feasible_points(rng, n, k, p_max):
     raw = rng.random((n, k))
     scale = (rng.random((n, 1)) * p_max) / raw.sum(axis=1, keepdims=True)
     return raw * scale
+
+
+def project_capped_simplex_oracle(y, p_max, iters=200):
+    """Projection onto {q >= 0, sum(q) <= p_max}: clamp negatives, and if
+    that leaves the budget exceeded, find by bisection the threshold tau
+    with sum(max(y - tau, 0)) = p_max."""
+    y = [float(v) for v in y]
+    if sum(max(v, 0.0) for v in y) <= p_max:
+        return np.array([max(v, 0.0) for v in y])
+    lo, hi = 0.0, max(y)  # the clipped sum is above p_max at lo, 0 at hi
+    for _ in range(iters):
+        tau = 0.5 * (lo + hi)
+        if sum(max(v - tau, 0.0) for v in y) > p_max:
+            lo = tau
+        else:
+            hi = tau
+    tau = 0.5 * (lo + hi)
+    return np.array([max(v - tau, 0.0) for v in y])

@@ -6,7 +6,6 @@ matching stability, exhaustive dominance, the two Monte Carlo trend
 figures, cross-thread determinism, and the rate engine oracle.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -249,7 +248,8 @@ def test_criterion_08_element_sweep_trend(capsys):
             f"{span.min():.2f}..{span.max():.2f} b/s/Hz", elapsed, 600)
 
 
-def test_criterion_09_thread_count_does_not_change_csv(capsys, tmp_path):
+def test_criterion_09_thread_count_does_not_change_csv(capsys, tmp_path,
+                                                       cli_env):
     cfg_path = tmp_path / "det.cfg"
     cfg_path.write_text(
         "num_antennas = 8\nnum_ius = 3\nnum_riss = 3\n"
@@ -259,7 +259,7 @@ def test_criterion_09_thread_count_does_not_change_csv(capsys, tmp_path):
     t0 = time.perf_counter()
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}.csv"
-        env = dict(os.environ, FR3_THREADS=threads)
+        env = dict(cli_env, FR3_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "fr3ris.cli", "sweep-power",
              "--config", str(cfg_path), "--out", str(out),

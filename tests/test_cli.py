@@ -182,6 +182,16 @@ def test_exhaustive_cap_exits_5(tmp_path):
     assert code == 5
 
 
+def test_failed_run_leaves_no_output_file(tmp_path):
+    path = tmp_path / "capped.cfg"
+    path.write_text(TINY + "exhaustive_cap = 3\n")
+    out = tmp_path / "x.csv"
+    code = cli.main(["run", "--config", str(path), "--out", str(out),
+                     "--schemes", "exhaustive"])
+    assert code == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["capped.cfg"]
+
+
 def test_numeric_error_exits_3(tiny_cfg, tmp_path, monkeypatch):
     def boom(*_a, **_k):
         raise NumericError("synthetic")
@@ -192,13 +202,13 @@ def test_numeric_error_exits_3(tiny_cfg, tmp_path, monkeypatch):
     assert code == 3
 
 
-def test_module_invocation_via_subprocess(tiny_cfg, tmp_path):
+def test_module_invocation_via_subprocess(tiny_cfg, tmp_path, cli_env):
     out = tmp_path / "sub.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "fr3ris.cli", "sweep-power",
          "--config", tiny_cfg, "--out", str(out),
          "--values", "10,20", "--schemes", "matching,random"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=cli_env)
     assert proc.returncode == 0, proc.stderr
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 2 * 2

@@ -130,6 +130,16 @@ def test_emit_csv_io_failure(tmp_path):
         emit_csv(res, tmp_path / "no" / "such" / "dir" / "x.csv")
 
 
+def test_emit_csv_failure_leaves_no_temp_file(tmp_path):
+    res = SweepResult(sweep_var="power", values=(), schemes=(),
+                      mean=np.empty((0, 0)), stderr=np.empty((0, 0)),
+                      realizations=0)
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError, match="taken"):
+        emit_csv(res, tmp_path / "taken")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("FR3_THREADS", raising=False)
     assert resolve_workers() == 1
