@@ -4,11 +4,13 @@ Geometry-deterministic line-of-sight model: every coefficient of a link is
 sqrt(pathloss) * exp(-j*omega*d) built from the link's center-to-center
 distance, so all antennas/elements of one link share magnitude and phase.
 Element spacing therefore never enters; randomness comes from IU placement
-only. On top of that: RIS co-phasing toward the served IU, MRT precoding
-on the effective channel, and the K x K gain matrix feeding SINRs.
+only. On top of that: a ChannelSet co-phases every RIS toward every IU it
+could serve once, when it is built, and keeps the resulting cascades; the
+K x K gain matrix of any association (MRT beams on the effective channels,
+then the gains feeding SINRs) is read from that table.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,12 +23,20 @@ _MIN_DISTANCE = 1e-3
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Raw link coefficients for one realization."""
+    """Link coefficients of one realization and their co-phased cascades.
+
+    cascades[l, s, k] is A_l^H (phi_ls o r_lk): IU k's channel through RIS l
+    when l is co-phased for IU s, i.e. with the unit-amplitude profile phi_ls
+    that puts IU s's cascade in phase with direct[s, 0]. The link arrays and
+    the table are made read-only, so the table cannot go stale.
+    """
 
     direct: np.ndarray   # (K, N) AP -> IU
     ap_ris: np.ndarray   # (L, M, N) AP -> RIS
     ris_iu: np.ndarray   # (L, K, M) RIS -> IU
     carrier_freq_hz: float
+    # (L, K, K, N), built from the three link arrays on construction
+    cascades: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.asarray(self.direct, dtype=np.complex128)
@@ -43,9 +53,21 @@ class ChannelSet:
         for name, arr in (("direct", d), ("ap_ris", a), ("ris_iu", r)):
             if not np.all(np.isfinite(arr)):
                 raise NumericError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "direct", d)
-        object.__setattr__(self, "ap_ris", a)
-        object.__setattr__(self, "ris_iu", r)
+        for name, arr in (("direct", d), ("ap_ris", a), ("ris_iu", r)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        cascades = np.empty((l, k, k, n), dtype=np.complex128)
+        for li in range(l):
+            for s in range(k):
+                through = np.conj(a[li, :, 0]) * r[li, s]
+                phases = np.mod(np.angle(d[s, 0]) - np.angle(through),
+                                2.0 * np.pi)
+                coeffs = np.exp(1j * phases)
+                for ki in range(k):
+                    cascades[li, s, ki] = numerics.matvec_hermitian(
+                        a[li], coeffs * r[li, ki])
+        cascades.setflags(write=False)
+        object.__setattr__(self, "cascades", cascades)
 
     @property
     def num_ius(self):
@@ -62,30 +84,6 @@ class ChannelSet:
     @property
     def num_elements(self):
         return self.ap_ris.shape[1]
-
-
-@dataclass(frozen=True)
-class RisConfig:
-    """Reflection profile: per-element amplitude and phase for every RIS."""
-
-    amplitudes: np.ndarray  # (L, M) in [0, 1]
-    phases: np.ndarray      # (L, M) in [0, 2*pi)
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=np.float64)
-        ph = np.asarray(self.phases, dtype=np.float64)
-        if amp.ndim != 2 or amp.shape != ph.shape:
-            raise DimensionError(
-                f"amplitudes {amp.shape} and phases {ph.shape} must both be (L, M)")
-        if amp.size and (amp.min() < 0.0 or amp.max() > 1.0):
-            raise NumericError("amplitudes must lie in [0, 1]")
-        if ph.size and (ph.min() < 0.0 or ph.max() >= 2.0 * np.pi):
-            raise NumericError("phases must lie in [0, 2*pi)")
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "phases", ph)
-
-    def reflection_coefficients(self, l):
-        return self.amplitudes[l] * np.exp(1j * self.phases[l])
 
 
 @dataclass(frozen=True)
@@ -111,13 +109,6 @@ class GainMatrix:
     @property
     def num_ius(self):
         return self.g.shape[0]
-
-
-def _gamma_matrix(assoc):
-    gamma = np.asarray(getattr(assoc, "gamma", assoc))
-    if gamma.ndim != 2:
-        raise DimensionError(f"association matrix must be 2-d, got {gamma.shape}")
-    return gamma
 
 
 def pathloss(d_m, freq_hz, exponent=2.0):
@@ -157,93 +148,30 @@ def synthesize_channels(topo, cfg):
                       carrier_freq_hz=f)
 
 
-def configure_ris_cophase(channels, assoc):
-    """Unit amplitudes; phases align each served IU's cascaded terms with its
-    direct channel at reference antenna 0. Unassigned RISs keep zero phase."""
-    gamma = _gamma_matrix(assoc)
-    l_count, m_count = channels.num_riss, channels.num_elements
-    phases = np.zeros((l_count, m_count))
-    for l in range(l_count):
-        served = np.flatnonzero(gamma[:, l])
-        if served.size == 0:
-            continue
-        k = int(served[0])
-        target = np.angle(channels.direct[k, 0])
-        through = np.conj(channels.ap_ris[l, :, 0]) * channels.ris_iu[l, k, :]
-        phases[l, :] = np.mod(target - np.angle(through), 2.0 * np.pi)
-    return RisConfig(amplitudes=np.ones((l_count, m_count)), phases=phases)
-
-
-def effective_channel(channels, ris, assoc, k):
-    """h_k = direct_k + sum over associated RISs of H_l^H Theta_l h_{l,k}."""
-    gamma = _gamma_matrix(assoc)
-    if not 0 <= k < channels.num_ius:
-        raise DimensionError(f"IU index {k} out of range")
-    if gamma.shape != (channels.num_ius, channels.num_riss):
+def gains_for_association(channels, assoc, noise_power_w):
+    """K x K gain matrix of one association (an Association or a raw binary
+    K x L gamma). Entry (k, i) is |<h, w_i>|^2 with h IU k's channel through
+    the RIS serving interferer i (the direct link alone if i has none) and
+    w_i the unit MRT beam along IU i's own such channel."""
+    gamma = np.asarray(getattr(assoc, "gamma", assoc))
+    k_count, l_count = channels.num_ius, channels.num_riss
+    if gamma.shape != (k_count, l_count):
         raise DimensionError(
             f"association matrix {gamma.shape} does not match "
-            f"(K, L) = ({channels.num_ius}, {channels.num_riss})")
-    h = channels.direct[k].copy()
-    for l in np.flatnonzero(gamma[k]):
-        coeff = ris.reflection_coefficients(l) * channels.ris_iu[l, k]
-        h += numerics.matvec_hermitian(channels.ap_ris[l], coeff)
-    return h
-
-
-def mrt_precoder(channels, ris, assoc):
-    """Unit-norm beam per IU along its effective channel."""
-    k_count = channels.num_ius
-    directions = np.empty((k_count, channels.num_antennas), dtype=np.complex128)
-    for k in range(k_count):
-        h = effective_channel(channels, ris, assoc, k)
-        norm = np.linalg.norm(h)
-        if norm <= 0.0:
-            raise NumericError(f"effective channel of IU {k} is zero")
-        directions[k] = h / norm
-    return directions
-
-
-def _ris_of(gamma):
-    k_count = gamma.shape[0]
-    out = np.full(k_count, -1, dtype=np.int64)
-    for k in range(k_count):
-        hits = np.flatnonzero(gamma[k])
-        if hits.size > 1:
-            raise DimensionError(
-                f"IU {k} is associated with {hits.size} RISs; gains need <= 1")
-        if hits.size:
-            out[k] = hits[0]
-    return out
-
-
-def compute_gains(channels, ris, assoc, directions, noise_power_w):
-    """K x K gain matrix: entry (k, i) gates IU k's channel by interferer i's
-    association, then takes |<channel, beam_i>|^2."""
-    gamma = _gamma_matrix(assoc)
-    ris_of = _ris_of(gamma)
-    k_count, n = channels.direct.shape
-    directions = np.ascontiguousarray(directions, dtype=np.complex128)
-    if directions.shape != (k_count, n):
+            f"(K, L) = ({k_count}, {l_count})")
+    served = gamma != 0
+    if np.any(served.sum(axis=1) > 1) or np.any(served.sum(axis=0) > 1):
         raise DimensionError(
-            f"directions must be ({k_count}, {n}), got {directions.shape}")
-    cascades = np.zeros((channels.num_riss, k_count, n), dtype=np.complex128)
-    for l in np.flatnonzero(gamma.any(axis=0)):
-        coeffs = ris.reflection_coefficients(l)
-        for k in range(k_count):
-            cascades[l, k] = numerics.matvec_hermitian(
-                channels.ap_ris[l], coeffs * channels.ris_iu[l, k])
+            "association must be one-to-one: at most one RIS per IU and "
+            "one IU per RIS")
     direct = np.ascontiguousarray(channels.direct)
     g = np.empty((k_count, k_count), dtype=np.float64)
     for i in range(k_count):
-        li = ris_of[i]
-        h = direct if li < 0 else direct + cascades[li]
-        inner = np.conj(h) @ directions[i]
+        hits = np.flatnonzero(served[i])
+        h = direct if hits.size == 0 else direct + channels.cascades[hits[0], i]
+        norm = np.linalg.norm(h[i])
+        if norm <= 0.0:
+            raise NumericError(f"effective channel of IU {i} is zero")
+        inner = np.conj(h) @ (h[i] / norm)
         g[:, i] = inner.real ** 2 + inner.imag ** 2
     return GainMatrix(g=g, noise_power=noise_power_w)
-
-
-def gains_for_association(channels, assoc, noise_power_w):
-    """Co-phase, precode, and compute gains for one association in one step."""
-    ris = configure_ris_cophase(channels, assoc)
-    directions = mrt_precoder(channels, ris, assoc)
-    return compute_gains(channels, ris, assoc, directions, noise_power_w)

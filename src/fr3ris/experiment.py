@@ -16,6 +16,7 @@ order, making CSV output bitwise stable under any FR3_THREADS setting.
 """
 
 import contextlib
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +35,8 @@ from .rate import sum_rate
 from .topology import sample_topology
 
 _SCHEME_STREAM = {name: i + 1 for i, name in enumerate(SCHEME_NAMES)}
+
+log = logging.getLogger(__name__)
 
 CSV_HEADER = "sweep_var,sweep_value,scheme,mean_sum_rate_bps_hz,stderr,realizations"
 
@@ -153,20 +156,27 @@ def sweep(cfg, variable, values=None):
 
     n = cfg.realizations
     schemes = cfg.schemes
-    workers = resolve_workers()
+    requested = resolve_workers()
+    if requested > (os.cpu_count() or 1):
+        log.warning("FR3_THREADS asks for %d workers on %s cores",
+                    requested, os.cpu_count())
+    # a pool forks all its workers at once, so never more than there are
+    # realizations per point; one pool serves every point
+    workers = min(requested, n)
+    tasks = [(pcfg, index, schemes) for pcfg in point_cfgs for index in range(n)]
+    if workers <= 1:
+        results = [_worker(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # map() preserves task order, so the reduction below is
+            # always in realization-index order
+            results = list(pool.map(_worker, tasks, chunksize=1))
     mean = np.empty((len(values), len(schemes)))
     stderr = np.empty_like(mean)
-    for vi, pcfg in enumerate(point_cfgs):
-        tasks = [(pcfg, index, schemes) for index in range(n)]
-        if workers == 1:
-            results = [_worker(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # map() preserves task order, so the reduction below is
-                # always in realization-index order
-                results = list(pool.map(_worker, tasks, chunksize=1))
+    for vi in range(len(values)):
+        point = results[vi * n:(vi + 1) * n]
         for si, scheme in enumerate(schemes):
-            rates = np.array([r[scheme] for r in results])
+            rates = np.array([r[scheme] for r in point])
             mean[vi, si] = rates.mean()
             stderr[vi, si] = (rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return SweepResult(sweep_var=variable, values=values, schemes=schemes,

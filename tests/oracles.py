@@ -4,6 +4,7 @@ Everything here is written from the defining formulas with plain loops or
 dense grids, deliberately sharing no code with the package internals.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -87,3 +88,84 @@ def project_capped_simplex_oracle(y, p_max, iters=200):
             hi = tau
     tau = 0.5 * (lo + hi)
     return np.array([max(v - tau, 0.0) for v in y])
+
+
+def gain_matrix_oracle(direct, ap_ris, ris_iu, gamma):
+    """K x K link gains of a one-to-one association, entry by entry.
+
+    RIS l serving IU s reflects element m with the unit coefficient
+    exp(j (arg d_s[0] - arg(conj(A_l[m, 0]) r_ls[m]))). IU k's channel as
+    seen by IU i's beam is d_k + sum_m conj(A_l[m, :]) theta_m r_lk[m] with l
+    the RIS serving i (d_k alone when i has none); i's MRT beam is its own
+    such channel, normalized; g[k, i] = |<channel, beam>|^2.
+    """
+    k_count, n_count = len(direct), len(direct[0])
+    l_count = len(gamma[0]) if k_count else 0
+    surface = [-1] * k_count
+    for k in range(k_count):
+        for l in range(l_count):
+            if gamma[k][l]:
+                surface[k] = l
+
+    def channel(k, l, s):
+        h = [complex(direct[k][n]) for n in range(n_count)]
+        if l < 0:
+            return h
+        for m in range(len(ap_ris[l])):
+            via = ap_ris[l][m][0].conjugate() * ris_iu[l][s][m]
+            theta = cmath.exp(1j * (cmath.phase(direct[s][0]) - cmath.phase(via)))
+            for n in range(n_count):
+                h[n] += ap_ris[l][m][n].conjugate() * theta * ris_iu[l][k][m]
+        return h
+
+    g = np.zeros((k_count, k_count))
+    for i in range(k_count):
+        own = channel(i, surface[i], i)
+        norm = math.sqrt(sum(abs(x) ** 2 for x in own))
+        for k in range(k_count):
+            h = channel(k, surface[i], i)
+            inner = sum(h[n].conjugate() * own[n] for n in range(n_count))
+            g[k][i] = abs(inner / norm) ** 2
+    return g
+
+
+def blocking_pair_oracle(u, gamma):
+    """Stability of a one-to-one association under utilities u, checked
+    from the definition. IU k accepts RIS l only if u[k, l] > 0 and prefers
+    higher utility, ties to the lower RIS index; RIS l prefers the IU with
+    the higher u[., l], ties to the lower IU index, and any IU to none.
+    Returns (k, -1) for an IU held at a RIS it does not accept, else the
+    first (k, l) that would both rather be together, else None."""
+    k_count = len(u)
+    l_count = len(u[0]) if k_count else 0
+    partner, holder = {}, {}
+    for k in range(k_count):
+        for l in range(l_count):
+            if gamma[k][l]:
+                if k in partner or l in holder:
+                    raise ValueError(f"association is not one-to-one at ({k}, {l})")
+                partner[k] = l
+                holder[l] = k
+    for k, l in partner.items():
+        if u[k][l] <= 0:
+            return (k, -1)
+
+    def ius_prefers(k, l):
+        if u[k][l] <= 0:
+            return False
+        if k not in partner:
+            return True
+        cur = partner[k]
+        return u[k][l] > u[k][cur] or (u[k][l] == u[k][cur] and l < cur)
+
+    def ris_prefers(l, k):
+        if l not in holder:
+            return True
+        cur = holder[l]
+        return u[k][l] > u[cur][l] or (u[k][l] == u[cur][l] and k < cur)
+
+    for k in range(k_count):
+        for l in range(l_count):
+            if partner.get(k) != l and ius_prefers(k, l) and ris_prefers(l, k):
+                return (k, l)
+    return None

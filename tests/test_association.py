@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fr3ris.association import (Association, count_feasible_associations,
                                 exhaustive_association, find_blocking_pair,
@@ -11,6 +13,8 @@ from fr3ris.errors import NumericError, SizeError
 from fr3ris.rate import association_sum_rate
 from fr3ris.topology import NetworkTopology
 from fr3ris.channel import synthesize_channels
+
+from oracles import blocking_pair_oracle
 
 
 class _PickLast:
@@ -104,6 +108,7 @@ def test_deferred_acceptance_stability_exhaustively_verified():
     # and the blocking-pair scan does flag an unstable association
     bad = Association.from_pairs([(0, 1), (1, 0)], 2, 2)
     assert find_blocking_pair(u, bad) == (0, 0)
+    assert blocking_pair_oracle(u, bad.gamma) == (0, 0)
 
 
 def test_deferred_acceptance_skips_zero_utilities():
@@ -130,6 +135,19 @@ def test_deferred_acceptance_stable_on_random_instances():
         u[rng.random(size=(k, l)) < 0.2] = 0.0
         a = match_deferred_acceptance(u)
         assert find_blocking_pair(u, a) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(1, 6), l=st.integers(0, 5))
+def test_deferred_acceptance_stable_with_ties(data, k, l):
+    # small integer utilities: ties and non-positive entries are common
+    rows = data.draw(st.lists(st.lists(st.integers(-1, 3), min_size=l,
+                                       max_size=l),
+                              min_size=k, max_size=k))
+    u = np.array(rows, dtype=np.float64).reshape(k, l)
+    a = match_deferred_acceptance(u)
+    assert blocking_pair_oracle(u, a.gamma) is None
+    assert find_blocking_pair(u, a) is None
 
 
 def test_deferred_acceptance_invariant_to_positive_rescaling():

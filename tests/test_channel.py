@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from fr3ris.channel import (ChannelSet, GainMatrix, RisConfig, SPEED_OF_LIGHT,
-                            compute_gains, configure_ris_cophase,
-                            effective_channel, gains_for_association,
-                            mrt_precoder, pathloss, synthesize_channels)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fr3ris.channel import (ChannelSet, GainMatrix, SPEED_OF_LIGHT,
+                            gains_for_association, pathloss,
+                            synthesize_channels)
 from fr3ris.config import ScenarioConfig
 from fr3ris.errors import DimensionError, NumericError
 from fr3ris.topology import NetworkTopology, sample_topology
+
+from oracles import gain_matrix_oracle
 
 
 def _rand_channelset(rng, k=2, l=1, m=3, n=4):
@@ -16,6 +20,23 @@ def _rand_channelset(rng, k=2, l=1, m=3, n=4):
         ap_ris=rng.standard_normal((l, m, n)) + 1j * rng.standard_normal((l, m, n)),
         ris_iu=rng.standard_normal((l, k, m)) + 1j * rng.standard_normal((l, k, m)),
         carrier_freq_hz=15e9)
+
+
+def _cophase_profile(ch, l, s):
+    # unit reflection coefficients putting IU s's cascade through RIS l in
+    # phase with its direct channel at antenna 0
+    through = np.conj(ch.ap_ris[l, :, 0]) * ch.ris_iu[l, s]
+    return np.exp(1j * (np.angle(ch.direct[s, 0]) - np.angle(through)))
+
+
+def _through_loop(ch, l, theta, k):
+    # A_l^H (theta o r_lk) with explicit loops
+    m_count, n_count = ch.ap_ris.shape[1:]
+    out = np.zeros(n_count, dtype=complex)
+    for n in range(n_count):
+        for m in range(m_count):
+            out[n] += np.conj(ch.ap_ris[l, m, n]) * theta[m] * ch.ris_iu[l, k, m]
+    return out
 
 
 def _physical_channelset(rng=None, k=1, l=1, n=4, m_side=4, ris_x=5.0):
@@ -110,7 +131,7 @@ def test_channelset_shape_validation():
     _rand_channelset(rng)  # well-formed passes
 
 
-# -- co-phasing -------------------------------------------------------------
+# -- co-phased cascades -----------------------------------------------------
 
 def test_cophase_zero_direct_single_element_real_positive():
     rng = np.random.default_rng(40)
@@ -119,9 +140,7 @@ def test_cophase_zero_direct_single_element_real_positive():
         ap_ris=np.exp(2j * np.pi * rng.random((1, 1, 1))) * 0.3,
         ris_iu=np.exp(2j * np.pi * rng.random((1, 1, 1))) * 0.5,
         carrier_freq_hz=15e9)
-    gamma = np.array([[1]])
-    ris = configure_ris_cophase(ch, gamma)
-    h = effective_channel(ch, ris, gamma, 0)
+    h = ch.direct[0] + ch.cascades[0, 0, 0]
     assert h[0].imag == pytest.approx(0.0, abs=1e-12)
     assert h[0].real == pytest.approx(0.3 * 0.5, rel=1e-12)
 
@@ -132,9 +151,7 @@ def test_cophase_coherent_sum_over_elements():
     ch = ChannelSet(direct=np.zeros_like(ch_phys.direct),
                     ap_ris=ch_phys.ap_ris, ris_iu=ch_phys.ris_iu,
                     carrier_freq_hz=ch_phys.carrier_freq_hz)
-    gamma = np.array([[1]])
-    ris = configure_ris_cophase(ch, gamma)
-    h = effective_channel(ch, ris, gamma, 0)
+    h = ch.direct[0] + ch.cascades[0, 0, 0]
     l1 = pathloss(topo.ap_ris_distances()[0], 15e9)
     l2 = pathloss(topo.ris_iu_distances()[0, 0], 15e9)
     np.testing.assert_allclose(np.abs(h), 4.0 * np.sqrt(l1 * l2), rtol=1e-12)
@@ -145,34 +162,33 @@ def test_cophase_beats_random_phase_profiles():
     ch = ChannelSet(direct=np.zeros_like(ch_phys.direct),
                     ap_ris=ch_phys.ap_ris, ris_iu=ch_phys.ris_iu,
                     carrier_freq_hz=ch_phys.carrier_freq_hz)
-    gamma = np.array([[1]])
-    best = np.linalg.norm(effective_channel(
-        ch, configure_ris_cophase(ch, gamma), gamma, 0))
+    best = np.linalg.norm(ch.direct[0] + ch.cascades[0, 0, 0])
     rng = np.random.default_rng(41)
-    m = ch.num_elements
     for _ in range(100):
-        ris = RisConfig(amplitudes=np.ones((1, m)),
-                        phases=rng.uniform(0, 2 * np.pi, size=(1, m)))
-        assert np.linalg.norm(effective_channel(ch, ris, gamma, 0)) <= best + 1e-15
-
-
-def test_zero_amplitude_reduces_to_direct_channel():
-    rng = np.random.default_rng(42)
-    ch = _rand_channelset(rng)
-    gamma = np.array([[1, 0], [0, 0]])[:, :1]
-    ris = RisConfig(amplitudes=np.zeros((1, 3)), phases=np.zeros((1, 3)))
-    np.testing.assert_allclose(effective_channel(ch, ris, gamma, 0),
-                               ch.direct[0], atol=1e-15)
+        theta = np.exp(1j * rng.uniform(0, 2 * np.pi, size=ch.num_elements))
+        h = ch.direct[0] + _through_loop(ch, 0, theta, 0)
+        assert np.linalg.norm(h) <= best + 1e-15
 
 
 def test_unassigned_ris_keeps_zero_phase():
+    # an idle RIS takes no part: the gains equal those of the same
+    # network without it
     rng = np.random.default_rng(43)
     ch = _rand_channelset(rng, k=2, l=2)
-    gamma = np.array([[0, 1], [0, 0]])
-    ris = configure_ris_cophase(ch, gamma)
-    assert np.all(ris.phases[0] == 0.0)
-    assert np.any(ris.phases[1] != 0.0)
-    assert np.all(ris.amplitudes == 1.0)
+    without = ChannelSet(direct=ch.direct, ap_ris=ch.ap_ris[1:],
+                         ris_iu=ch.ris_iu[1:],
+                         carrier_freq_hz=ch.carrier_freq_hz)
+    g = gains_for_association(ch, np.array([[0, 1], [0, 0]]), 1e-11).g
+    ref = gains_for_association(without, np.array([[1], [0]]), 1e-11).g
+    np.testing.assert_allclose(g, ref, rtol=1e-13)
+
+
+def test_channel_arrays_are_read_only():
+    # an in-place write would leave the cascade table stale
+    ch = _rand_channelset(np.random.default_rng(44))
+    for arr in (ch.direct, ch.ap_ris, ch.ris_iu, ch.cascades):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 # -- effective channel ------------------------------------------------------
@@ -180,122 +196,87 @@ def test_unassigned_ris_keeps_zero_phase():
 def test_effective_channel_without_association_is_direct():
     rng = np.random.default_rng(44)
     ch = _rand_channelset(rng)
-    ris = configure_ris_cophase(ch, np.zeros((2, 1), dtype=int))
-    np.testing.assert_allclose(
-        effective_channel(ch, ris, np.zeros((2, 1), dtype=int), 1),
-        ch.direct[1], atol=1e-15)
+    g = gains_for_association(ch, np.zeros((2, 1), dtype=int), 1e-11).g
+    d = ch.direct
+    for i in range(2):
+        w = d[i] / np.linalg.norm(d[i])
+        for k in range(2):
+            assert g[k, i] == pytest.approx(abs(np.vdot(d[k], w)) ** 2,
+                                            rel=1e-12)
 
 
 def test_effective_channel_matches_naive_loop():
     rng = np.random.default_rng(45)
     ch = _rand_channelset(rng, k=2, l=2, m=3, n=4)
-    gamma = np.array([[1, 0], [0, 1]])
-    ris = configure_ris_cophase(ch, gamma)
-    for k in range(2):
-        expect = ch.direct[k].copy()
-        for l in range(2):
-            if not gamma[k, l]:
-                continue
-            for n in range(4):
-                for m in range(3):
-                    theta = ris.amplitudes[l, m] * np.exp(1j * ris.phases[l, m])
-                    expect[n] += (np.conj(ch.ap_ris[l, m, n]) * theta
-                                  * ch.ris_iu[l, k, m])
-        got = effective_channel(ch, ris, gamma, k)
-        np.testing.assert_allclose(got, expect, rtol=1e-12)
-
-
-def test_effective_channel_additive_in_ris_contributions():
-    rng = np.random.default_rng(46)
-    ch = _rand_channelset(rng, k=1, l=2, m=3, n=4)
-    ris = RisConfig(amplitudes=np.ones((2, 3)),
-                    phases=rng.uniform(0, 2 * np.pi, size=(2, 3)))
-    both = effective_channel(ch, ris, np.array([[1, 1]]), 0)
-    first = effective_channel(ch, ris, np.array([[1, 0]]), 0)
-    second = effective_channel(ch, ris, np.array([[0, 1]]), 0)
-    np.testing.assert_allclose(both, first + second - ch.direct[0], atol=1e-12)
+    assert ch.cascades.shape == (2, 2, 2, 4)
+    for l in range(2):
+        for s in range(2):
+            theta = _cophase_profile(ch, l, s)
+            for k in range(2):
+                np.testing.assert_allclose(
+                    ch.direct[k] + ch.cascades[l, s, k],
+                    ch.direct[k] + _through_loop(ch, l, theta, k), rtol=1e-12)
 
 
 def test_effective_channel_ignores_unselected_ris():
     rng = np.random.default_rng(47)
-    ch = _rand_channelset(rng, k=1, l=2, m=3, n=4)
-    ris = configure_ris_cophase(ch, np.array([[1, 0]]))
-    h = effective_channel(ch, ris, np.array([[1, 0]]), 0)
-    # perturbing the unselected RIS channels changes nothing
-    ch2 = ChannelSet(direct=ch.direct, ap_ris=ch.ap_ris,
-                     ris_iu=np.concatenate([ch.ris_iu[:1],
-                                            9.0 * ch.ris_iu[1:]]),
+    ch = _rand_channelset(rng, k=2, l=2, m=3, n=4)
+    gamma = np.array([[1, 0], [0, 0]])
+    g = gains_for_association(ch, gamma, 1e-11).g
+    # perturbing the unselected RIS's links changes nothing
+    ch2 = ChannelSet(direct=ch.direct,
+                     ap_ris=np.concatenate([ch.ap_ris[:1], 3.0 * ch.ap_ris[1:]]),
+                     ris_iu=np.concatenate([ch.ris_iu[:1], 9.0 * ch.ris_iu[1:]]),
                      carrier_freq_hz=ch.carrier_freq_hz)
-    np.testing.assert_allclose(
-        effective_channel(ch2, ris, np.array([[1, 0]]), 0), h, atol=1e-15)
-    with pytest.raises(DimensionError):
-        effective_channel(ch, ris, np.array([[1, 0]]), 5)
+    np.testing.assert_allclose(gains_for_association(ch2, gamma, 1e-11).g, g,
+                               rtol=1e-15)
 
 
 # -- MRT precoder -----------------------------------------------------------
 
 def test_mrt_directions_are_unit_norm():
+    # scaling every link out of the AP by c scales every gain by c^2; a
+    # beam that were not normalized would scale them by c^4
     rng = np.random.default_rng(48)
     ch = _rand_channelset(rng, k=3, l=2, m=4, n=5)
     gamma = np.array([[1, 0], [0, 1], [0, 0]])
-    ris = configure_ris_cophase(ch, gamma)
-    w = mrt_precoder(ch, ris, gamma)
-    np.testing.assert_allclose(np.linalg.norm(w, axis=1), 1.0, atol=1e-12)
+    scaled = ChannelSet(direct=3.0 * ch.direct, ap_ris=3.0 * ch.ap_ris,
+                        ris_iu=ch.ris_iu, carrier_freq_hz=ch.carrier_freq_hz)
+    g = gains_for_association(ch, gamma, 1e-11).g
+    np.testing.assert_allclose(gains_for_association(scaled, gamma, 1e-11).g,
+                               9.0 * g, rtol=1e-12, atol=1e-12 * g.max())
 
 
 def test_mrt_single_antenna_and_real_channel():
     ch = ChannelSet(direct=np.array([[0.5 - 0.5j]]),
                     ap_ris=np.empty((0, 1, 1)), ris_iu=np.empty((0, 1, 1)),
                     carrier_freq_hz=1e9)
-    ris = RisConfig(amplitudes=np.empty((0, 1)), phases=np.empty((0, 1)))
-    w = mrt_precoder(ch, ris, np.zeros((1, 0), dtype=int))
-    assert abs(abs(w[0, 0]) - 1.0) < 1e-12
-    ch_real = ChannelSet(direct=np.array([[3.0, 4.0]]),
+    gm = gains_for_association(ch, np.zeros((1, 0), dtype=int), 1.0)
+    assert gm.g[0, 0] == pytest.approx(0.5, rel=1e-12)
+    # IU 0's beam along the real channel (3, 4) is (0.6, 0.8); IU 1 hears
+    # it on the first antenna only
+    ch_real = ChannelSet(direct=np.array([[3.0, 4.0], [1.0, 0.0]]),
                          ap_ris=np.empty((0, 1, 2)),
-                         ris_iu=np.empty((0, 1, 1)), carrier_freq_hz=1e9)
-    w = mrt_precoder(ch_real, ris, np.zeros((1, 0), dtype=int))
-    np.testing.assert_allclose(w[0], [0.6, 0.8], atol=1e-12)
+                         ris_iu=np.empty((0, 2, 1)), carrier_freq_hz=1e9)
+    g = gains_for_association(ch_real, np.zeros((2, 0), dtype=int), 1.0).g
+    np.testing.assert_allclose(g, [[25.0, 9.0], [0.36, 1.0]], rtol=1e-12)
 
 
 def test_mrt_rejects_zero_effective_channel():
     ch = ChannelSet(direct=np.zeros((1, 2), dtype=complex),
                     ap_ris=np.empty((0, 1, 2)), ris_iu=np.empty((0, 1, 1)),
                     carrier_freq_hz=1e9)
-    ris = RisConfig(amplitudes=np.empty((0, 1)), phases=np.empty((0, 1)))
     with pytest.raises(NumericError):
-        mrt_precoder(ch, ris, np.zeros((1, 0), dtype=int))
+        gains_for_association(ch, np.zeros((1, 0), dtype=int), 1.0)
 
 
 # -- gain matrix ------------------------------------------------------------
 
-def _gains_oracle(ch, ris, gamma, w, noise):
-    # rebuilds every entry from scratch with explicit loops
-    k_count, n_count = ch.direct.shape
-    g = np.zeros((k_count, k_count))
-    for k in range(k_count):
-        for i in range(k_count):
-            # IU k's links, gated by the interferer i's association row
-            h = np.array(ch.direct[k], copy=True)
-            for l in range(ch.num_riss):
-                if gamma[i, l]:
-                    for n in range(n_count):
-                        for m in range(ch.num_elements):
-                            refl = (ris.amplitudes[l, m]
-                                    * np.exp(1j * ris.phases[l, m]))
-                            h[n] += (np.conj(ch.ap_ris[l, m, n]) * refl
-                                     * ch.ris_iu[l, k, m])
-            inner = np.vdot(h, w[i])
-            g[k, i] = abs(inner) ** 2
-    return GainMatrix(g=g, noise_power=noise)
-
-
 def test_gain_matrix_k1_equals_channel_energy():
     rng = np.random.default_rng(49)
     ch = _rand_channelset(rng, k=1, l=1, m=3, n=4)
-    gamma = np.array([[1]])
-    gm = gains_for_association(ch, gamma, 1e-11)
-    ris = configure_ris_cophase(ch, gamma)
-    h = effective_channel(ch, ris, gamma, 0)
+    gm = gains_for_association(ch, np.array([[1]]), 1e-11)
+    h = ch.direct[0] + ch.cascades[0, 0, 0]
     assert gm.g[0, 0] == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-12)
 
 
@@ -303,10 +284,7 @@ def test_orthogonal_channels_give_zero_cross_gain():
     ch = ChannelSet(direct=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
                     ap_ris=np.empty((0, 1, 2)), ris_iu=np.empty((0, 2, 1)),
                     carrier_freq_hz=1e9)
-    ris = RisConfig(amplitudes=np.empty((0, 1)), phases=np.empty((0, 1)))
-    gamma = np.zeros((2, 0), dtype=int)
-    w = mrt_precoder(ch, ris, gamma)
-    gm = compute_gains(ch, ris, gamma, w, 1.0)
+    gm = gains_for_association(ch, np.zeros((2, 0), dtype=int), 1.0)
     assert gm.g[0, 1] == pytest.approx(0.0, abs=1e-15)
     assert gm.g[1, 0] == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(np.diag(gm.g), 1.0, rtol=1e-12)
@@ -314,30 +292,46 @@ def test_orthogonal_channels_give_zero_cross_gain():
 
 def test_gain_matrix_matches_from_scratch_oracle():
     rng = np.random.default_rng(50)
+    gamma = np.array([[0, 1], [1, 0]])
     for _ in range(10):
         ch = _rand_channelset(rng, k=2, l=2, m=3, n=4)
-        gamma = np.array([[0, 1], [1, 0]])
-        ris = configure_ris_cophase(ch, gamma)
-        w = mrt_precoder(ch, ris, gamma)
-        gm = compute_gains(ch, ris, gamma, w, 1e-11)
-        ref = _gains_oracle(ch, ris, gamma, w, 1e-11)
-        np.testing.assert_allclose(gm.g, ref.g, rtol=1e-10)
+        gm = gains_for_association(ch, gamma, 1e-11)
+        ref = gain_matrix_oracle(ch.direct, ch.ap_ris, ch.ris_iu, gamma)
+        np.testing.assert_allclose(gm.g, ref, rtol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 5), l=st.integers(0, 3),
+       m=st.integers(1, 6), n=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gains_match_loop_oracle_on_dense_channels(data, k, l, m, n, seed):
+    ch = _rand_channelset(np.random.default_rng(seed), k=k, l=l, m=m, n=n)
+    # the first K entries of a shuffle of the surfaces and K "no surface"
+    # marks: one-to-one, with idle surfaces and direct-only IUs both common
+    picks = data.draw(st.permutations(list(range(l)) + [-1] * k))[:k]
+    gamma = np.zeros((k, l), dtype=int)
+    for user, surface in enumerate(picks):
+        if surface >= 0:
+            gamma[user, surface] = 1
+    g = gains_for_association(ch, gamma, 1e-11).g
+    ref = gain_matrix_oracle(ch.direct, ch.ap_ris, ch.ris_iu, gamma)
+    np.testing.assert_allclose(g, ref, rtol=1e-9, atol=1e-12 * ref.max())
 
 
 def test_cross_gain_uses_interferer_association():
     rng = np.random.default_rng(51)
     ch = _rand_channelset(rng, k=2, l=1, m=3, n=4)
-    gamma = np.array([[1], [0]])
-    ris = configure_ris_cophase(ch, gamma)
-    w = mrt_precoder(ch, ris, gamma)
-    gm = compute_gains(ch, ris, gamma, w, 1e-11)
-    # IU 1 hears IU 0's beam through its own RIS-0 leg (gating by gamma[0])
-    h10 = ch.direct[1] + np.array([
-        np.sum(np.conj(ch.ap_ris[0, :, n]) * ris.reflection_coefficients(0)
-               * ch.ris_iu[0, 1, :]) for n in range(4)])
-    assert gm.g[1, 0] == pytest.approx(abs(np.vdot(h10, w[0])) ** 2, rel=1e-10)
-    # IU 0 hears IU 1's beam on the direct path only (gamma[1] is empty)
-    assert gm.g[0, 1] == pytest.approx(abs(np.vdot(ch.direct[0], w[1])) ** 2,
+    gm = gains_for_association(ch, np.array([[1], [0]]), 1e-11)
+    theta = _cophase_profile(ch, 0, 0)
+    h0 = ch.direct[0] + _through_loop(ch, 0, theta, 0)
+    w0 = h0 / np.linalg.norm(h0)
+    # IU 1 hears IU 0's beam through its own RIS-0 leg, with RIS 0
+    # co-phased for IU 0
+    h10 = ch.direct[1] + _through_loop(ch, 0, theta, 1)
+    assert gm.g[1, 0] == pytest.approx(abs(np.vdot(h10, w0)) ** 2, rel=1e-10)
+    # IU 0 hears IU 1's beam on the direct path only (IU 1 has no RIS)
+    w1 = ch.direct[1] / np.linalg.norm(ch.direct[1])
+    assert gm.g[0, 1] == pytest.approx(abs(np.vdot(ch.direct[0], w1)) ** 2,
                                        rel=1e-10)
 
 
@@ -345,27 +339,32 @@ def test_mrt_diagonal_attains_cauchy_schwarz_bound():
     rng = np.random.default_rng(52)
     for _ in range(20):
         ch = _rand_channelset(rng, k=3, l=2, m=3, n=4)
-        gamma = np.array([[1, 0], [0, 1], [0, 0]])
-        ris = configure_ris_cophase(ch, gamma)
-        w = mrt_precoder(ch, ris, gamma)
-        gm = compute_gains(ch, ris, gamma, w, 1e-11)
-        for k in range(3):
-            h = effective_channel(ch, ris, gamma, k)
+        gm = gains_for_association(ch, np.array([[1, 0], [0, 1], [0, 0]]),
+                                   1e-11)
+        for k, l in ((0, 0), (1, 1), (2, -1)):
+            h = ch.direct[k] if l < 0 else ch.direct[k] + ch.cascades[l, k, k]
             bound = np.linalg.norm(h) ** 2
             assert gm.g[k, k] <= bound * (1 + 1e-9)
             assert gm.g[k, k] == pytest.approx(bound, rel=1e-9)
 
 
-def test_compute_gains_validation():
+def test_gains_for_association_validation():
     rng = np.random.default_rng(53)
     ch = _rand_channelset(rng, k=2, l=2, m=3, n=4)
-    ris = configure_ris_cophase(ch, np.zeros((2, 2), dtype=int))
-    w = mrt_precoder(ch, ris, np.zeros((2, 2), dtype=int))
+    with pytest.raises(DimensionError):  # one IU on two RISs
+        gains_for_association(ch, np.array([[1, 1], [0, 0]]), 1e-11)
+    with pytest.raises(DimensionError):  # not (K, L)
+        gains_for_association(ch, np.zeros((2, 3), dtype=int), 1e-11)
     with pytest.raises(DimensionError):
-        compute_gains(ch, ris, np.array([[1, 1], [0, 0]]), w, 1e-11)
-    with pytest.raises(DimensionError):
-        compute_gains(ch, ris, np.zeros((2, 2), dtype=int), w[:, :2], 1e-11)
+        gains_for_association(ch, np.zeros(2, dtype=int), 1e-11)
     with pytest.raises(NumericError):
         GainMatrix(g=np.array([[1.0, 0.0], [0.0, -2.0]]), noise_power=1e-11)
     with pytest.raises(NumericError):
         GainMatrix(g=np.ones((2, 2)), noise_power=0.0)
+
+
+def test_ris_serving_two_ius_rejected():
+    rng = np.random.default_rng(54)
+    ch = _rand_channelset(rng, k=2, l=1, m=3, n=4)
+    with pytest.raises(DimensionError):
+        gains_for_association(ch, np.array([[1], [1]]), 1e-11)

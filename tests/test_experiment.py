@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fr3ris import experiment
 from fr3ris.config import ScenarioConfig
 from fr3ris.errors import ConfigError
 from fr3ris.experiment import (SweepResult, emit_csv, format_csv,
@@ -165,3 +166,67 @@ def test_parallel_sweep_matches_serial(monkeypatch):
     parallel = sweep(cfg, "power", [13.0, 20.0])
     assert np.array_equal(serial.mean, parallel.mean)
     assert np.array_equal(serial.stderr, parallel.stderr)
+
+
+def test_sweep_opens_one_pool_bounded_by_realizations(monkeypatch, caplog):
+    built = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor: runs the tasks in-process and
+        # records how it was built, so no worker process starts
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("FR3_THREADS", "500")
+    cfg = _cfg(realizations=2, schemes=("matching",))
+    with caplog.at_level("WARNING", logger="fr3ris"):
+        pooled = sweep(cfg, "power", [10.0, 17.0, 23.0])
+    assert built == [2]
+    assert "500 workers on 4 cores" in caplog.text
+    monkeypatch.delenv("FR3_THREADS")
+    serial = sweep(cfg, "power", [10.0, 17.0, 23.0])
+    assert format_csv(pooled) == format_csv(serial)
+
+
+# power sweep CSV of the rank-one line-of-sight channel model; a change to
+# the channel model or to the pipeline's arithmetic moves it
+_FROZEN_POWER_SWEEP = (
+    'sweep_var,sweep_value,scheme,mean_sum_rate_bps_hz,stderr,realizations\n'
+    'power,10,matching,6.9480009515680496,0.14457551416717676,10\n'
+    'power,10,greedy,6.9480009515680496,0.14457551416717676,10\n'
+    'power,10,random,6.9455147292807649,0.14511164401551369,10\n'
+    'power,10,exhaustive,6.9480009515680496,0.14457551416717676,10\n'
+    'power,13,matching,7.6793265404315632,0.18985088801496325,10\n'
+    'power,13,greedy,7.6793265404315632,0.18985088801496325,10\n'
+    'power,13,random,7.6756481221700215,0.19052071607254253,10\n'
+    'power,13,exhaustive,7.6793265404315632,0.18985088801496325,10\n'
+    'power,16,matching,8.5073713291033535,0.18091906644412811,10\n'
+    'power,16,greedy,8.5073713291033535,0.18091906644412811,10\n'
+    'power,16,random,8.5036417418366828,0.18137113309888997,10\n'
+    'power,16,exhaustive,8.5073713291033535,0.18091906644412811,10\n'
+    'power,19,matching,9.414660156750891,0.15311659634174257,10\n'
+    'power,19,greedy,9.414660156750891,0.15311659634174257,10\n'
+    'power,19,random,9.4109245324358053,0.15341656056499159,10\n'
+    'power,19,exhaustive,9.414660156750891,0.15311659634174257,10\n'
+    'power,23,matching,10.662362100716734,0.13839301551505714,10\n'
+    'power,23,greedy,10.662362100716734,0.13839301551505714,10\n'
+    'power,23,random,10.658598250903147,0.13848875501151689,10\n'
+    'power,23,exhaustive,10.662362100716734,0.13839301551505714,10\n')
+
+
+def test_power_sweep_csv_is_frozen():
+    cfg = ScenarioConfig(num_antennas=8, num_ius=4, num_riss=3,
+                         ris_elements_y=3, ris_elements_z=3, realizations=10,
+                         master_seed=11)
+    assert format_csv(sweep(cfg, "power")) == _FROZEN_POWER_SWEEP
