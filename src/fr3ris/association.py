@@ -144,39 +144,28 @@ def find_blocking_pair(u, assoc):
     return None
 
 
-def greedy_association(u, rng, multi_round=False):
+def greedy_association(u, rng):
     """One-shot proposal round: every IU bids for its best RIS, contested
     RISs keep a uniformly random proposer, losers fall back to the direct
-    link. multi_round=True lets losers rebid on still-free RISs instead."""
+    link."""
     u = _check_utilities(u)
     k_count, l_count = u.shape
-    taken = np.zeros(l_count, dtype=bool)
-    matched = np.zeros(k_count, dtype=bool)
+    bids = {}
+    for k in range(k_count):
+        best_l, best_val = -1, 0.0
+        for l in range(l_count):
+            if u[k, l] > best_val:
+                best_l, best_val = l, u[k, l]
+        if best_l >= 0:
+            bids.setdefault(best_l, []).append(k)
     pairs = []
-    active = list(range(k_count))
-    while active:
-        bids = {}
-        for k in active:
-            best_l, best_val = -1, 0.0
-            for l in range(l_count):
-                if not taken[l] and u[k, l] > best_val:
-                    best_l, best_val = l, u[k, l]
-            if best_l >= 0:
-                bids.setdefault(best_l, []).append(k)
-        if not bids:
-            break
-        for l in sorted(bids):
-            proposers = bids[l]
-            if len(proposers) == 1:
-                winner = proposers[0]
-            else:
-                winner = proposers[int(rng.integers(len(proposers)))]
-            pairs.append((winner, l))
-            taken[l] = True
-            matched[winner] = True
-        if not multi_round:
-            break
-        active = [k for k in active if not matched[k]]
+    for l in sorted(bids):
+        proposers = bids[l]
+        if len(proposers) == 1:
+            winner = proposers[0]
+        else:
+            winner = proposers[int(rng.integers(len(proposers)))]
+        pairs.append((winner, l))
     return Association.from_pairs(pairs, k_count, l_count)
 
 

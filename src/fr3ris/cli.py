@@ -14,8 +14,8 @@ import sys
 import tempfile
 
 from . import __version__
-from .config import (SCHEME_NAMES, ScenarioConfig, format_config,
-                     load_config, parse_schemes, watt_to_dbm)
+from .config import (SCHEME_NAMES, format_config, load_config, parse_config,
+                     watt_to_dbm)
 from .errors import ConfigError, DimensionError, NumericError, SizeError
 from .experiment import emit_csv, sweep
 
@@ -32,9 +32,10 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="flat key=value scenario file (defaults apply)")
-    common.add_argument("--seed", type=int, metavar="U64",
+    # each flag's dest is the config key it overrides
+    common.add_argument("--seed", dest="master_seed", metavar="U64",
                         help="override master_seed")
-    common.add_argument("--realizations", type=int, metavar="N",
+    common.add_argument("--realizations", metavar="N",
                         help="override Monte Carlo realization count")
     common.add_argument("--schemes", metavar="LIST",
                         help="comma list among: " + ", ".join(SCHEME_NAMES))
@@ -55,35 +56,34 @@ def _build_parser():
     p_pow = sub.add_parser("sweep-power", parents=[common],
                            help="sum rate vs AP power budget")
     p_pow.add_argument("--out", required=True, metavar="PATH")
-    p_pow.add_argument("--values", metavar="LIST",
-                       help="comma list of dBm points (default from config)")
+    p_pow.add_argument("--values", dest="power_sweep_dbm", metavar="LIST",
+                       help="override power_sweep_dbm, a comma list of dBm "
+                            "points")
 
     p_el = sub.add_parser("sweep-elements", parents=[common],
                           help="sum rate vs RIS element count")
     p_el.add_argument("--out", required=True, metavar="PATH")
-    p_el.add_argument("--values", metavar="LIST",
-                      help="comma list of element counts (default from config)")
+    p_el.add_argument("--values", dest="element_sweep", metavar="LIST",
+                      help="override element_sweep, a comma list of element "
+                           "counts")
 
     sub.add_parser("validate-config", parents=[common],
                    help="parse, validate, and echo the resolved config")
     return parser
 
 
+_FLAG_KEYS = ("master_seed", "realizations", "schemes", "power_sweep_dbm",
+              "element_sweep")
+
+
 def _load(args):
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
-    if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
-        cfg = cfg.with_updates(master_seed=args.seed)
-    if args.realizations is not None:
-        if args.realizations < 1:
-            raise ConfigError(
-                f"--realizations must be >= 1, got {args.realizations}")
-        cfg = cfg.with_updates(realizations=args.realizations)
-    if args.schemes is not None:
-        cfg = cfg.with_updates(
-            schemes=parse_schemes(args.schemes, "--schemes"))
-    return cfg
+    """Config file (or defaults) with the given flags applied as overrides
+    of their keys, so a flag passes the same checks as a config line."""
+    overrides = [(key, getattr(args, key)) for key in _FLAG_KEYS
+                 if getattr(args, key, None) is not None]
+    if args.config:
+        return load_config(args.config, overrides)
+    return parse_config("", overrides)
 
 
 def _log_run_context(cfg):
@@ -91,16 +91,6 @@ def _log_run_context(cfg):
     log.info("master seed: %d", cfg.master_seed)
     for line in format_config(cfg).splitlines():
         log.info("config: %s", line)
-
-
-def _parse_values(raw, cast, what):
-    try:
-        values = [cast(v.strip()) for v in raw.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"--values: cannot parse {raw!r} as {what}") from None
-    if not values:
-        raise ConfigError("--values list must not be empty")
-    return values
 
 
 def _probe_output(path):
@@ -124,18 +114,10 @@ def dispatch(args):
 
     _probe_output(args.out)
     if args.verb == "run":
-        values = [round(watt_to_dbm(cfg.p_max_w), 10)]
-        result = sweep(cfg, "power", values)
-    elif args.verb == "sweep-power":
-        values = (_parse_values(args.values, float, "dBm numbers")
-                  if args.values else None)
-        result = sweep(cfg, "power", values)
-    elif args.verb == "sweep-elements":
-        values = (_parse_values(args.values, int, "element counts")
-                  if args.values else None)
-        result = sweep(cfg, "elements", values)
-    else:
-        raise ConfigError(f"unknown verb {args.verb!r}")
+        point = round(watt_to_dbm(cfg.p_max_w), 10)
+        cfg = cfg.with_updates(power_sweep_dbm=(point,))
+    variable = "elements" if args.verb == "sweep-elements" else "power"
+    result = sweep(cfg, variable)
     emit_csv(result, args.out)
     log.info("wrote %s (%d sweep points, %d schemes, %d realizations)",
              args.out, len(result.values), len(result.schemes),

@@ -1,9 +1,14 @@
-"""Scenario configuration: flat key=value parsing, defaults, unit conversion.
+"""Scenario configuration: the validated scenario type and its file parser.
 
-Config files are flat ``key = value`` lines (``#`` comments allowed). Missing
-keys take the documented defaults; every value is converted to SI units once,
-here, so the rest of the package works in Hz, meters, and linear watts.
-A value may carry the key's unit as a suffix ("p_max_dbm = 23 dBm").
+`ScenarioConfig.__post_init__` holds every rule on a scenario value, so a
+config built by `parse_config`, by `with_updates` or directly passes the
+same checks, and nothing downstream repeats them. Errors name the config
+key. The parser only converts text: config files are flat ``key = value``
+lines (``#`` comments allowed), missing keys take the documented defaults,
+and every value is converted to SI units once, here, so the rest of the
+package works in Hz, meters, and linear watts. A value may carry the key's
+unit as a suffix ("p_max_dbm = 23 dBm"). Command-line flags arrive as
+``(key, text)`` overrides of the same keys.
 """
 
 import math
@@ -14,9 +19,6 @@ from .errors import ConfigError
 SCHEME_NAMES = ("matching", "greedy", "random", "exhaustive")
 RHO_VARIANTS = ("derivative", "log-denominator")
 
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off")
-
 
 def dbm_to_watt(dbm):
     return 10.0 ** ((float(dbm) - 30.0) / 10.0)
@@ -26,9 +28,53 @@ def watt_to_dbm(watt):
     return 10.0 * math.log10(float(watt)) + 30.0
 
 
+def _positive(x):
+    return x > 0
+
+
+def _nonneg(x):
+    return x >= 0
+
+
+def _at_least_1(x):
+    return x >= 1
+
+
+# field: (config key, unit suffix, scale from the key's unit to SI,
+#         validator on the SI value, bound text)
+_RANGES = {
+    "carrier_freq_hz": ("carrier_freq_ghz", "ghz", 1e9, _positive, "> 0"),
+    "num_antennas": ("num_antennas", "", 1, _at_least_1, ">= 1"),
+    "num_ius": ("num_ius", "", 1, _at_least_1, ">= 1"),
+    "num_riss": ("num_riss", "", 1, _nonneg, ">= 0"),
+    "ris_elements_y": ("ris_elements_y", "", 1, _at_least_1, ">= 1"),
+    "ris_elements_z": ("ris_elements_z", "", 1, _at_least_1, ">= 1"),
+    "area_m2": ("area_m2", "m2", 1.0, _positive, "> 0"),
+    "noise_density_dbm_hz": ("noise_density_dbm_hz", "dbm/hz", 1.0,
+                             math.isfinite, "finite"),
+    "noise_figure_db": ("noise_figure_db", "db", 1.0, math.isfinite, "finite"),
+    "bandwidth_hz": ("bandwidth_mhz", "mhz", 1e6, _positive, "> 0"),
+    "ap_height_m": ("ap_height_m", "m", 1.0, _nonneg, ">= 0"),
+    "ris_height_m": ("ris_height_m", "m", 1.0, _nonneg, ">= 0"),
+    "iu_height_m": ("iu_height_m", "m", 1.0, _nonneg, ">= 0"),
+    "min_ap_iu_separation_m": ("min_ap_iu_separation_m", "m", 1.0,
+                               _nonneg, ">= 0"),
+    "pathloss_exponent": ("pathloss_exponent", "", 1.0, _positive, "> 0"),
+    "inner_tol": ("inner_tol", "", 1.0, _positive, "> 0"),
+    "inner_max_iter": ("inner_max_iter", "", 1, _at_least_1, ">= 1"),
+    "outer_tol": ("outer_tol", "", 1.0, _positive, "> 0"),
+    "outer_max_iter": ("outer_max_iter", "", 1, _at_least_1, ">= 1"),
+    "power_rounds": ("power_rounds", "", 1, _at_least_1, ">= 1"),
+    "exhaustive_cap": ("exhaustive_cap", "", 1, _at_least_1, ">= 1"),
+    "realizations": ("realizations", "", 1, _at_least_1, ">= 1"),
+    "master_seed": ("master_seed", "", 1, lambda x: 0 <= x < 2 ** 64,
+                    "in [0, 2^64)"),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved scenario in SI units."""
+    """Fully resolved scenario in SI units, checked on construction."""
 
     carrier_freq_hz: float = 15e9
     num_antennas: int = 64
@@ -52,13 +98,53 @@ class ScenarioConfig:
     outer_max_iter: int = 50
     rho_variant: str = "derivative"
     power_rounds: int = 2
-    greedy_multi_round: bool = False
     exhaustive_cap: int = 100_000
     schemes: tuple = SCHEME_NAMES
     realizations: int = 200
     master_seed: int = 42
     power_sweep_dbm: tuple = (10.0, 13.0, 16.0, 19.0, 23.0)
     element_sweep: tuple = (100, 625, 2500)
+
+    def __post_init__(self):
+        for field, (key, _, scale, check, bounds) in _RANGES.items():
+            value = getattr(self, field)
+            if not check(value):
+                shown = value if scale == 1 else value / scale
+                raise ConfigError(
+                    f"{key}: value {shown} out of range, must be {bounds}")
+        if not 0.0 < self.p_max_w < math.inf:
+            raise ConfigError(f"p_max_dbm: budget of {self.p_max_w} W out "
+                              "of range, must be a finite dBm value")
+        if self.rho_variant not in RHO_VARIANTS:
+            raise ConfigError(f"rho_variant: {self.rho_variant!r} not one of "
+                              f"{', '.join(RHO_VARIANTS)}")
+        for key in ("schemes", "power_sweep_dbm", "element_sweep"):
+            values = tuple(getattr(self, key))
+            object.__setattr__(self, key, values)
+            if not values:
+                raise ConfigError(f"{key}: list needs at least one value")
+        for s in self.schemes:
+            if s not in SCHEME_NAMES:
+                raise ConfigError(
+                    f"schemes: {s!r} not one of {', '.join(SCHEME_NAMES)}")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ConfigError("schemes: duplicate entries")
+        for key in ("power_sweep_dbm", "element_sweep"):
+            values = getattr(self, key)
+            if any(b <= a for a, b in zip(values, values[1:])):
+                raise ConfigError(f"{key}: values must be strictly increasing")
+        for v in self.power_sweep_dbm:
+            if not math.isfinite(v):
+                raise ConfigError(f"power_sweep_dbm: {v} is not finite")
+        for v in self.element_sweep:
+            if v < 1 or math.isqrt(v) ** 2 != v:
+                raise ConfigError(f"element_sweep: {v} is not a perfect "
+                                  "square >= 1 (the grid is y = z)")
+        diagonal = math.sqrt(2.0) * self.area_side_m
+        if self.min_ap_iu_separation_m >= diagonal:
+            raise ConfigError(
+                "min_ap_iu_separation_m: must be below the area diagonal "
+                f"({diagonal:.3f} m), got {self.min_ap_iu_separation_m}")
 
     @property
     def num_elements(self):
@@ -79,53 +165,13 @@ class ScenarioConfig:
         return replace(self, **kw)
 
 
-# key -> (target field or None, converter, unit suffix, validator, bound text)
-def _positive(x):
-    return x > 0
+_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+# config key -> (field, unit suffix, scale to SI)
+_KEYS = {key: (field, unit, scale)
+         for field, (key, unit, scale, _, _) in _RANGES.items()}
 
 
-def _nonneg(x):
-    return x >= 0
-
-
-def _at_least_1(x):
-    return x >= 1
-
-
-_INT_KEYS = {
-    "num_antennas": (_at_least_1, ">= 1"),
-    "num_ius": (_at_least_1, ">= 1"),
-    "num_riss": (_nonneg, ">= 0"),
-    "ris_elements_y": (_at_least_1, ">= 1"),
-    "ris_elements_z": (_at_least_1, ">= 1"),
-    "inner_max_iter": (_at_least_1, ">= 1"),
-    "outer_max_iter": (_at_least_1, ">= 1"),
-    "power_rounds": (_at_least_1, ">= 1"),
-    "exhaustive_cap": (_at_least_1, ">= 1"),
-    "realizations": (_at_least_1, ">= 1"),
-    "master_seed": (lambda x: 0 <= x < 2 ** 64, "in [0, 2^64)"),
-}
-
-_FLOAT_KEYS = {
-    # key: (field, unit suffix, scale to SI, validator, bound text)
-    "carrier_freq_ghz": ("carrier_freq_hz", "ghz", 1e9, _positive, "> 0"),
-    "area_m2": ("area_m2", "m2", 1.0, _positive, "> 0"),
-    "noise_density_dbm_hz": ("noise_density_dbm_hz", "dbm/hz", 1.0,
-                             math.isfinite, "finite"),
-    "noise_figure_db": ("noise_figure_db", "db", 1.0, math.isfinite, "finite"),
-    "bandwidth_mhz": ("bandwidth_hz", "mhz", 1e6, _positive, "> 0"),
-    "ap_height_m": ("ap_height_m", "m", 1.0, _nonneg, ">= 0"),
-    "ris_height_m": ("ris_height_m", "m", 1.0, _nonneg, ">= 0"),
-    "iu_height_m": ("iu_height_m", "m", 1.0, _nonneg, ">= 0"),
-    "min_ap_iu_separation_m": ("min_ap_iu_separation_m", "m", 1.0,
-                               _nonneg, ">= 0"),
-    "pathloss_exponent": ("pathloss_exponent", "", 1.0, _positive, "> 0"),
-    "inner_tol": ("inner_tol", "", 1.0, _positive, "> 0"),
-    "outer_tol": ("outer_tol", "", 1.0, _positive, "> 0"),
-}
-
-
-def _strip_unit(raw, key, unit):
+def _strip_unit(raw, unit):
     parts = raw.split()
     if len(parts) == 2 and unit and parts[1].lower() == unit:
         return parts[0]
@@ -139,95 +185,36 @@ def _parse_number(raw, key, cast):
         raise ConfigError(f"{key}: cannot parse {raw!r} as {cast.__name__}") from None
 
 
-def _parse_bool(raw, key):
-    low = raw.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ConfigError(f"{key}: cannot parse {raw!r} as a boolean")
-
-
-def parse_schemes(raw, label):
-    """Comma list of distinct scheme names; `label` prefixes errors."""
-    names = tuple(s.strip() for s in raw.split(",") if s.strip())
-    if not names:
-        raise ConfigError(f"{label}: list must not be empty")
-    for s in names:
-        if s not in SCHEME_NAMES:
-            raise ConfigError(
-                f"{label}: {s!r} not one of {', '.join(SCHEME_NAMES)}")
-    if len(set(names)) != len(names):
-        raise ConfigError(f"{label}: duplicate entries")
-    return names
+def _split(raw):
+    return [v.strip() for v in raw.split(",") if v.strip()]
 
 
 def _apply_key(out, key, raw):
+    """Convert one key's text to its SI field value in `out`; range checks
+    are left to ScenarioConfig."""
     raw = raw.strip()
-    if key in _INT_KEYS:
-        check, bounds = _INT_KEYS[key]
-        val = _parse_number(raw, key, int)
-        if not check(val):
-            raise ConfigError(f"{key}: value {val} out of range, must be {bounds}")
-        out[key] = val
-    elif key in _FLOAT_KEYS:
-        field, unit, scale, check, bounds = _FLOAT_KEYS[key]
-        val = _parse_number(_strip_unit(raw, key, unit), key, float)
-        if not check(val):
-            raise ConfigError(f"{key}: value {val} out of range, must be {bounds}")
-        out[field] = val * scale
+    if key in _KEYS:
+        field, unit, scale = _KEYS[key]
+        out[field] = _parse_number(_strip_unit(raw, unit), key,
+                                   _TYPES[field]) * scale
     elif key == "p_max_dbm":
-        val = _parse_number(_strip_unit(raw, key, "dbm"), key, float)
-        if not math.isfinite(val):
-            raise ConfigError(f"{key}: value {val} out of range, must be finite")
-        out["p_max_w"] = dbm_to_watt(val)
+        out["p_max_w"] = dbm_to_watt(
+            _parse_number(_strip_unit(raw, "dbm"), key, float))
     elif key == "rho_variant":
-        if raw not in RHO_VARIANTS:
-            raise ConfigError(
-                f"rho_variant: {raw!r} not one of {', '.join(RHO_VARIANTS)}")
         out[key] = raw
-    elif key == "greedy_multi_round":
-        out[key] = _parse_bool(raw, key)
     elif key == "schemes":
-        out[key] = parse_schemes(raw, key)
+        out[key] = tuple(_split(raw))
     elif key == "power_sweep_dbm":
-        vals = tuple(_parse_number(v.strip(), key, float)
-                     for v in raw.split(",") if v.strip())
-        if not vals:
-            raise ConfigError("power_sweep_dbm: list must not be empty")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ConfigError("power_sweep_dbm: values must be strictly increasing")
-        out[key] = vals
+        out[key] = tuple(_parse_number(v, key, float) for v in _split(raw))
     elif key == "element_sweep":
-        vals = tuple(_parse_number(v.strip(), key, int)
-                     for v in raw.split(",") if v.strip())
-        if not vals:
-            raise ConfigError("element_sweep: list must not be empty")
-        if any(v < 1 for v in vals):
-            raise ConfigError("element_sweep: values must be >= 1")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ConfigError("element_sweep: values must be strictly increasing")
-        for v in vals:
-            side = math.isqrt(v)
-            if side * side != v:
-                raise ConfigError(
-                    f"element_sweep: {v} is not a perfect square (grid is y=z)")
-        out[key] = vals
+        out[key] = tuple(_parse_number(v, key, int) for v in _split(raw))
     else:
         raise ConfigError(f"unknown config key: {key}")
 
 
-def _cross_validate(cfg):
-    if cfg.min_ap_iu_separation_m >= math.sqrt(2.0) * cfg.area_side_m:
-        raise ConfigError(
-            "min_ap_iu_separation_m: must be below the area diagonal "
-            f"({math.sqrt(2.0) * cfg.area_side_m:.3f} m), "
-            f"got {cfg.min_ap_iu_separation_m}")
-    return cfg
-
-
-def parse_config(text):
-    """Parse flat key=value text into a ScenarioConfig. Empty text gives defaults."""
+def parse_config(text, overrides=()):
+    """Parse flat key=value text into a ScenarioConfig, then apply the
+    (key, text) pairs of `overrides` on top. Empty text gives defaults."""
     out = {}
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -242,16 +229,18 @@ def parse_config(text):
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
         _apply_key(out, key, raw)
-    return _cross_validate(ScenarioConfig(**out))
+    for key, raw in overrides:
+        _apply_key(out, key, raw)
+    return ScenarioConfig(**out)
 
 
-def load_config(path):
+def load_config(path, overrides=()):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(text, overrides)
 
 
 def format_config(cfg):

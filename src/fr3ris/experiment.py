@@ -59,7 +59,7 @@ def _associate(scheme, channels, u, p, cfg, rng):
     if scheme == "matching":
         return match_deferred_acceptance(u)
     if scheme == "greedy":
-        return greedy_association(u, rng, multi_round=cfg.greedy_multi_round)
+        return greedy_association(u, rng)
     if scheme == "random":
         return random_association(channels.num_ius, channels.num_riss, rng)
     if scheme == "exhaustive":
@@ -81,7 +81,7 @@ def _run_schemes(cfg, index, schemes):
     uniform = np.full(k, cfg.p_max_w / k)
 
     u0 = utility_matrix(channels, uniform, noise)
-    seed_assoc = greedy_association(u0, rng, multi_round=cfg.greedy_multi_round)
+    seed_assoc = greedy_association(u0, rng)
     gm0 = gains_for_association(channels, seed_assoc, noise)
     p_star, _ = sca_power_for_config(gm0, cfg, init=uniform)
     u_star = utility_matrix(channels, p_star, noise)
@@ -101,13 +101,6 @@ def _run_schemes(cfg, index, schemes):
         gm = gains_for_association(channels, assoc, noise)
         out[scheme] = sum_rate(gm, p).sum_rate
     return out
-
-
-def run_realization(cfg, scheme, index):
-    """Final coupled sum rate of one scheme on realization `index`."""
-    if scheme not in SCHEME_NAMES:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    return _run_schemes(cfg, index, (scheme,))[scheme]
 
 
 def _worker(args):
@@ -133,25 +126,16 @@ def _config_for_point(cfg, variable, value):
     if variable == "power":
         return cfg.with_updates(p_max_w=dbm_to_watt(value))
     if variable == "elements":
-        side = math.isqrt(int(value))
-        if side * side != int(value):
-            raise ConfigError(
-                f"element sweep value {value} is not a perfect square "
-                "(the reflector grid is y = z)")
+        side = math.isqrt(value)
         return cfg.with_updates(ris_elements_y=side, ris_elements_z=side)
     raise ConfigError(f"unknown sweep variable {variable!r}")
 
 
-def sweep(cfg, variable, values=None):
-    """Monte Carlo sweep over AP power (dBm values) or RIS elements
-    (total counts). Returns per-scheme means and standard errors."""
-    if values is None:
-        values = cfg.power_sweep_dbm if variable == "power" else cfg.element_sweep
-    values = tuple(values)
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError("sweep values must be strictly increasing")
+def sweep(cfg, variable):
+    """Monte Carlo sweep over the config's AP power points
+    (power_sweep_dbm) or RIS element counts (element_sweep). Returns
+    per-scheme means and standard errors."""
+    values = cfg.power_sweep_dbm if variable == "power" else cfg.element_sweep
     point_cfgs = [_config_for_point(cfg, variable, v) for v in values]
 
     n = cfg.realizations

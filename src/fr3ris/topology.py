@@ -95,10 +95,6 @@ def sample_topology(cfg, rng):
     IU draws closer than cfg.min_ap_iu_separation_m to the AP (horizontal
     distance) are rejected and redrawn.
     """
-    if cfg.num_ius < 1:
-        raise ConfigError("num_ius must be >= 1")
-    if cfg.num_riss < 0:
-        raise ConfigError("num_riss must be >= 0")
     side = cfg.area_side_m
     ap = np.array([0.0, 0.0, cfg.ap_height_m])
     riss = default_ris_positions(cfg)

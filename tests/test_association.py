@@ -181,12 +181,6 @@ def test_greedy_argmax_tie_takes_lowest_ris():
     assert g.pairs() == [(0, 0)]
 
 
-def test_greedy_multi_round_lets_losers_rebid():
-    u = np.array([[5.0, 1.0], [4.0, 2.0]])
-    g = greedy_association(u, _PickLast(), multi_round=True)
-    assert g.pairs() == [(0, 1), (1, 0)]
-
-
 def test_greedy_ignores_zero_utility():
     g = greedy_association(np.zeros((2, 2)), _PickLast())
     assert g.pairs() == []

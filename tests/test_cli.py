@@ -1,12 +1,14 @@
 """Command-line interface: verbs, overrides, and exit codes."""
 
+import math
 import subprocess
 import sys
 
 import pytest
 
 from fr3ris import cli
-from fr3ris.errors import NumericError
+from fr3ris.config import ScenarioConfig
+from fr3ris.errors import ConfigError, NumericError
 
 TINY = """
 num_antennas = 4
@@ -213,3 +215,38 @@ def test_module_invocation_via_subprocess(tiny_cfg, tmp_path, cli_env):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 2 * 2
     assert "master seed: 11" in proc.stderr
+
+
+# (config key, its text in a file or after the flag, verb, flag, the
+#  value with_updates gets)
+_BAD_VALUES = [
+    ("element_sweep", "0", "sweep-elements", "--values", (0,)),
+    ("element_sweep", "-4", "sweep-elements", "--values", (-4,)),
+    ("power_sweep_dbm", "nan", "sweep-power", "--values", (math.nan,)),
+    ("power_sweep_dbm", "inf", "sweep-power", "--values", (math.inf,)),
+    ("master_seed", "-1", "run", "--seed", -1),
+    ("realizations", "0", "run", "--realizations", 0),
+]
+
+
+@pytest.mark.parametrize("key, text, verb, flag, value", _BAD_VALUES,
+                         ids=[f"{c[0]}={c[1]}" for c in _BAD_VALUES])
+def test_bad_value_rejected_alike_from_file_flag_and_with_updates(
+        key, text, verb, flag, value, tmp_path, caplog):
+    with pytest.raises(ConfigError, match=key):
+        ScenarioConfig().with_updates(**{key: value})
+    out = tmp_path / "x.csv"
+    in_file = tmp_path / "in_file.cfg"
+    in_file.write_text(
+        "".join(line + "\n" for line in TINY.splitlines()
+                if not line.startswith(key)) + f"{key} = {text}\n")
+    valid = tmp_path / "valid.cfg"
+    valid.write_text(TINY)
+    for argv in (["--config", str(in_file)],
+                 ["--config", str(valid), flag, text]):
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="fr3ris"):
+            code = cli.main([verb, "--out", str(out), *argv])
+        assert code == 2
+        assert key in caplog.text
+        assert not out.exists()

@@ -118,3 +118,30 @@ def test_format_config_lists_every_field_and_derived_values():
     assert "master_seed = 42" in text
     # the log round-trips through the parser's key set for plain fields
     assert "num_ius = 5" in text
+
+
+def test_overrides_apply_after_the_file_without_tripping_duplicates():
+    cfg = parse_config("master_seed = 1\nschemes = greedy",
+                       [("master_seed", "2"), ("schemes", "random, matching")])
+    assert cfg.master_seed == 2
+    assert cfg.schemes == ("random", "matching")
+    with pytest.raises(ConfigError, match="realizations"):
+        parse_config("", [("realizations", "0")])
+
+
+def test_direct_construction_runs_the_same_checks():
+    cfg = ScenarioConfig(schemes=["greedy"], element_sweep=[4, 16])
+    assert cfg.schemes == ("greedy",)
+    assert cfg.element_sweep == (4, 16)
+    for bad, match in ((dict(schemes=("greedy", "greedy")), "duplicate"),
+                       (dict(schemes=()), "schemes.*at least one"),
+                       (dict(rho_variant="newton"), "rho_variant"),
+                       (dict(carrier_freq_hz=0.0), "carrier_freq_ghz.*> 0"),
+                       (dict(p_max_w=math.nan), "p_max_dbm"),
+                       (dict(p_max_w=0.0), "p_max_dbm"),
+                       (dict(area_m2=4.0, min_ap_iu_separation_m=3.0),
+                        "min_ap_iu_separation_m")):
+        with pytest.raises(ConfigError, match=match):
+            ScenarioConfig(**bad)
+    with pytest.raises(ConfigError, match="p_max_dbm"):
+        parse_config("p_max_dbm = nan")

@@ -5,8 +5,7 @@ from fr3ris import experiment
 from fr3ris.config import ScenarioConfig
 from fr3ris.errors import ConfigError
 from fr3ris.experiment import (SweepResult, emit_csv, format_csv,
-                               resolve_workers, run_realization, sweep,
-                               _run_schemes)
+                               resolve_workers, sweep, _run_schemes)
 
 
 def _cfg(**kw):
@@ -16,17 +15,21 @@ def _cfg(**kw):
     return ScenarioConfig(**base)
 
 
+def _rate(cfg, scheme, index):
+    return _run_schemes(cfg, index, (scheme,))[scheme]
+
+
 def test_run_realization_is_deterministic():
     cfg = _cfg()
-    a = run_realization(cfg, "matching", 11)
-    b = run_realization(cfg, "matching", 11)
+    a = _rate(cfg, "matching", 11)
+    b = _rate(cfg, "matching", 11)
     assert a == b
-    assert run_realization(cfg, "matching", 12) != a
+    assert _rate(cfg, "matching", 12) != a
 
 
 def test_scheme_rate_independent_of_scheme_set():
     cfg = _cfg()
-    alone = run_realization(cfg, "greedy", 4)
+    alone = _rate(cfg, "greedy", 4)
     together = _run_schemes(cfg, 4, ("matching", "greedy", "random",
                                      "exhaustive"))
     assert together["greedy"] == alone
@@ -53,12 +56,13 @@ def test_all_schemes_coincide_without_riss():
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ConfigError):
-        run_realization(_cfg(), "oracle", 0)
+        _cfg(schemes=("oracle",))
 
 
 def test_sweep_single_point_single_realization():
-    cfg = _cfg(realizations=1, schemes=("matching", "greedy"))
-    res = sweep(cfg, "power", [17.0])
+    cfg = _cfg(realizations=1, schemes=("matching", "greedy"),
+               power_sweep_dbm=(17.0,))
+    res = sweep(cfg, "power")
     assert res.mean.shape == (1, 2)
     assert np.all(res.stderr == 0.0)
     assert res.realizations == 1
@@ -68,31 +72,33 @@ def test_sweep_single_point_single_realization():
 def test_sweep_value_validation():
     cfg = _cfg(realizations=1)
     with pytest.raises(ConfigError, match="increasing"):
-        sweep(cfg, "power", [10.0, 10.0])
+        cfg.with_updates(power_sweep_dbm=(10.0, 10.0))
     with pytest.raises(ConfigError, match="perfect square"):
-        sweep(cfg, "elements", [24])
+        cfg.with_updates(element_sweep=(24,))
     with pytest.raises(ConfigError, match="sweep variable"):
-        sweep(cfg, "bandwidth", [1.0])
+        sweep(cfg, "bandwidth")
     with pytest.raises(ConfigError, match="at least one"):
-        sweep(cfg, "power", [])
+        cfg.with_updates(power_sweep_dbm=())
 
 
 def test_more_power_helps():
-    cfg = _cfg(realizations=5, schemes=("matching",))
-    res = sweep(cfg, "power", [0.0, 23.0])
+    cfg = _cfg(realizations=5, schemes=("matching",),
+               power_sweep_dbm=(0.0, 23.0))
+    res = sweep(cfg, "power")
     assert res.mean[1, 0] > res.mean[0, 0]
 
 
 def test_element_sweep_changes_grid():
-    cfg = _cfg(realizations=2, schemes=("matching",))
-    res = sweep(cfg, "elements", [9, 36])
+    cfg = _cfg(realizations=2, schemes=("matching",), element_sweep=(9, 36))
+    res = sweep(cfg, "elements")
     assert res.mean.shape == (2, 1)
     assert np.all(np.isfinite(res.mean))
 
 
 def test_csv_format_contract(tmp_path):
-    cfg = _cfg(realizations=2, schemes=("matching", "random"))
-    res = sweep(cfg, "power", [5.0, 10.0])
+    cfg = _cfg(realizations=2, schemes=("matching", "random"),
+               power_sweep_dbm=(5.0, 10.0))
+    res = sweep(cfg, "power")
     path = tmp_path / "out.csv"
     emit_csv(res, path)
     text = path.read_text(encoding="utf-8")
@@ -159,11 +165,12 @@ def test_resolve_workers(monkeypatch):
 
 
 def test_parallel_sweep_matches_serial(monkeypatch):
-    cfg = _cfg(realizations=4, schemes=("matching", "random"))
+    cfg = _cfg(realizations=4, schemes=("matching", "random"),
+               power_sweep_dbm=(13.0, 20.0))
     monkeypatch.delenv("FR3_THREADS", raising=False)
-    serial = sweep(cfg, "power", [13.0, 20.0])
+    serial = sweep(cfg, "power")
     monkeypatch.setenv("FR3_THREADS", "2")
-    parallel = sweep(cfg, "power", [13.0, 20.0])
+    parallel = sweep(cfg, "power")
     assert np.array_equal(serial.mean, parallel.mean)
     assert np.array_equal(serial.stderr, parallel.stderr)
 
@@ -189,13 +196,14 @@ def test_sweep_opens_one_pool_bounded_by_realizations(monkeypatch, caplog):
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("FR3_THREADS", "500")
-    cfg = _cfg(realizations=2, schemes=("matching",))
+    cfg = _cfg(realizations=2, schemes=("matching",),
+               power_sweep_dbm=(10.0, 17.0, 23.0))
     with caplog.at_level("WARNING", logger="fr3ris"):
-        pooled = sweep(cfg, "power", [10.0, 17.0, 23.0])
+        pooled = sweep(cfg, "power")
     assert built == [2]
     assert "500 workers on 4 cores" in caplog.text
     monkeypatch.delenv("FR3_THREADS")
-    serial = sweep(cfg, "power", [10.0, 17.0, 23.0])
+    serial = sweep(cfg, "power")
     assert format_csv(pooled) == format_csv(serial)
 
 
