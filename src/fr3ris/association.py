@@ -74,8 +74,9 @@ def utility_matrix(channels, p_star, noise_power_w):
     u = np.zeros((k_count, l_count))
     for k in range(k_count):
         for l in range(l_count):
-            assoc = Association.from_pairs([(k, l)], k_count, l_count)
-            gm = gains_for_association(channels, assoc, noise_power_w)
+            gamma = np.zeros((k_count, l_count), dtype=np.int64)
+            gamma[k, l] = 1
+            gm = gains_for_association(channels, gamma, noise_power_w)
             u[k, l] = sum_rate(gm, p_star).per_iu_rate[k]
     return u
 
@@ -196,14 +197,14 @@ def exhaustive_association(channels, p_star, noise_power_w, cap=100_000):
     if total > cap:
         raise SizeError(
             f"{total} feasible associations exceed the cap of {cap}")
-    best_assoc, best_rate = None, -np.inf
+    best_gamma, best_rate = None, -np.inf
     for j in range(min(k_count, l_count) + 1):
         for ius in itertools.combinations(range(k_count), j):
             for riss in itertools.permutations(range(l_count), j):
-                assoc = Association.from_pairs(
-                    list(zip(ius, riss)), k_count, l_count)
-                rate = association_sum_rate(channels, assoc, p_star,
+                gamma = np.zeros((k_count, l_count), dtype=np.int64)
+                gamma[list(ius), list(riss)] = 1
+                rate = association_sum_rate(channels, gamma, p_star,
                                             noise_power_w)
                 if rate > best_rate:
-                    best_assoc, best_rate = assoc, rate
-    return best_assoc, float(best_rate)
+                    best_gamma, best_rate = gamma, rate
+    return Association(gamma=best_gamma), float(best_rate)

@@ -4,10 +4,10 @@ Geometry-deterministic line-of-sight model: every coefficient of a link is
 sqrt(pathloss) * exp(-j*omega*d) built from the link's center-to-center
 distance, so all antennas/elements of one link share magnitude and phase.
 Element spacing therefore never enters; randomness comes from IU placement
-only. On top of that: a ChannelSet co-phases every RIS toward every IU it
-could serve once, when it is built, and keeps the resulting cascades; the
-K x K gain matrix of any association (MRT beams on the effective channels,
-then the gains feeding SINRs) is read from that table.
+only. On top of that: a ChannelSet forms, once, every IU's MRT beam on
+every link it could use (direct, or through a RIS co-phased for it) and
+keeps the power each beam delivers at every IU; the K x K gain matrix of
+any association is a gather from that table.
 """
 
 from dataclasses import dataclass, field
@@ -23,23 +23,24 @@ _MIN_DISTANCE = 1e-3
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Link coefficients of one realization and their co-phased cascades.
+    """Link coefficients of one realization and their gain table.
 
-    cascades[l, s, k] is A_l^H (phi_ls o r_lk): IU k's channel through RIS l
-    when l is co-phased for IU s, i.e. with the unit-amplitude profile phi_ls
-    that puts IU s's cascade in phase with direct[s, 0]. The link arrays and
-    the table are made read-only, so the table cannot go stale.
+    link_gains[j, k, i] is the power at IU k of IU i's unit MRT beam when i
+    is on its direct link (j = 0) or on RIS j-1 co-phased for i: with the
+    unit-amplitude profile that puts i's cascade in phase with
+    direct[i, 0]. Column i is NaN where i's own channel on that link is
+    zero. All arrays are read-only, so the table cannot go stale.
     """
 
     direct: np.ndarray   # (K, N) AP -> IU
     ap_ris: np.ndarray   # (L, M, N) AP -> RIS
     ris_iu: np.ndarray   # (L, K, M) RIS -> IU
     carrier_freq_hz: float
-    # (L, K, K, N), built from the three link arrays on construction
-    cascades: np.ndarray = field(init=False, repr=False, compare=False)
+    # (L+1, K, K), built from the three link arrays on construction
+    link_gains: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = np.asarray(self.direct, dtype=np.complex128)
+        d = np.ascontiguousarray(self.direct, dtype=np.complex128)
         a = np.asarray(self.ap_ris, dtype=np.complex128)
         r = np.asarray(self.ris_iu, dtype=np.complex128)
         if d.ndim != 2:
@@ -56,18 +57,20 @@ class ChannelSet:
         for name, arr in (("direct", d), ("ap_ris", a), ("ris_iu", r)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        cascades = np.empty((l, k, k, n), dtype=np.complex128)
+        gains = np.empty((l + 1, k, k))
+        for i in range(k):
+            gains[0, :, i] = _beam_gains(d, i)
         for li in range(l):
             for s in range(k):
                 through = np.conj(a[li, :, 0]) * r[li, s]
                 phases = np.mod(np.angle(d[s, 0]) - np.angle(through),
                                 2.0 * np.pi)
                 coeffs = np.exp(1j * phases)
-                for ki in range(k):
-                    cascades[li, s, ki] = numerics.matvec_hermitian(
-                        a[li], coeffs * r[li, ki])
-        cascades.setflags(write=False)
-        object.__setattr__(self, "cascades", cascades)
+                h = d + np.array([numerics.matvec_hermitian(
+                    a[li], coeffs * r[li, ki]) for ki in range(k)])
+                gains[li + 1, :, s] = _beam_gains(h, s)
+        gains.setflags(write=False)
+        object.__setattr__(self, "link_gains", gains)
 
     @property
     def num_ius(self):
@@ -148,6 +151,15 @@ def synthesize_channels(topo, cfg):
                       carrier_freq_hz=f)
 
 
+def _beam_gains(h, i):
+    """|<h[k], h[i] / |h[i]|>|^2 for every row k of h; NaN if h[i] = 0."""
+    norm = np.linalg.norm(h[i])
+    if norm <= 0.0:
+        return np.nan
+    inner = np.conj(h) @ (h[i] / norm)
+    return inner.real ** 2 + inner.imag ** 2
+
+
 def gains_for_association(channels, assoc, noise_power_w):
     """K x K gain matrix of one association (an Association or a raw binary
     K x L gamma). Entry (k, i) is |<h, w_i>|^2 with h IU k's channel through
@@ -164,14 +176,10 @@ def gains_for_association(channels, assoc, noise_power_w):
         raise DimensionError(
             "association must be one-to-one: at most one RIS per IU and "
             "one IU per RIS")
-    direct = np.ascontiguousarray(channels.direct)
-    g = np.empty((k_count, k_count), dtype=np.float64)
-    for i in range(k_count):
-        hits = np.flatnonzero(served[i])
-        h = direct if hits.size == 0 else direct + channels.cascades[hits[0], i]
-        norm = np.linalg.norm(h[i])
-        if norm <= 0.0:
-            raise NumericError(f"effective channel of IU {i} is zero")
-        inner = np.conj(h) @ (h[i] / norm)
-        g[:, i] = inner.real ** 2 + inner.imag ** 2
+    link = served @ np.arange(1, l_count + 1)
+    users = np.arange(k_count)
+    g = channels.link_gains[link, users[:, None], users]
+    zero = np.flatnonzero(np.isnan(g).any(axis=0))
+    if zero.size:
+        raise NumericError(f"effective channel of IU {zero[0]} is zero")
     return GainMatrix(g=g, noise_power=noise_power_w)

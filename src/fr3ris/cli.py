@@ -14,8 +14,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .config import (SCHEME_NAMES, format_config, load_config, parse_config,
-                     watt_to_dbm)
+from .config import SCHEME_NAMES, format_config, load_config, parse_config
 from .errors import ConfigError, DimensionError, NumericError, SizeError
 from .experiment import emit_csv, sweep
 
@@ -114,8 +113,7 @@ def dispatch(args):
 
     _probe_output(args.out)
     if args.verb == "run":
-        point = round(watt_to_dbm(cfg.p_max_w), 10)
-        cfg = cfg.with_updates(power_sweep_dbm=(point,))
+        cfg = cfg.with_updates(power_sweep_dbm=(cfg.p_max_dbm,))
     variable = "elements" if args.verb == "sweep-elements" else "power"
     result = sweep(cfg, variable)
     emit_csv(result, args.out)

@@ -21,54 +21,43 @@ RHO_VARIANTS = ("derivative", "log-denominator")
 
 
 def dbm_to_watt(dbm):
-    return 10.0 ** ((float(dbm) - 30.0) / 10.0)
+    """Watts of a dBm value; inf beyond the float range."""
+    try:
+        return 10.0 ** ((float(dbm) - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def watt_to_dbm(watt):
     return 10.0 * math.log10(float(watt)) + 30.0
 
 
-def _positive(x):
-    return x > 0
+# bound text -> check on the SI value
+_BOUNDS = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0,
+           ">= 1": lambda x: x >= 1, "finite": math.isfinite,
+           "in [0, 2^64)": lambda x: 0 <= x < 2 ** 64}
 
-
-def _nonneg(x):
-    return x >= 0
-
-
-def _at_least_1(x):
-    return x >= 1
-
-
-# field: (config key, unit suffix, scale from the key's unit to SI,
-#         validator on the SI value, bound text)
+# field: (config key, unit suffix, scale from the key's unit to SI, bound)
 _RANGES = {
-    "carrier_freq_hz": ("carrier_freq_ghz", "ghz", 1e9, _positive, "> 0"),
-    "num_antennas": ("num_antennas", "", 1, _at_least_1, ">= 1"),
-    "num_ius": ("num_ius", "", 1, _at_least_1, ">= 1"),
-    "num_riss": ("num_riss", "", 1, _nonneg, ">= 0"),
-    "ris_elements_y": ("ris_elements_y", "", 1, _at_least_1, ">= 1"),
-    "ris_elements_z": ("ris_elements_z", "", 1, _at_least_1, ">= 1"),
-    "area_m2": ("area_m2", "m2", 1.0, _positive, "> 0"),
-    "noise_density_dbm_hz": ("noise_density_dbm_hz", "dbm/hz", 1.0,
-                             math.isfinite, "finite"),
-    "noise_figure_db": ("noise_figure_db", "db", 1.0, math.isfinite, "finite"),
-    "bandwidth_hz": ("bandwidth_mhz", "mhz", 1e6, _positive, "> 0"),
-    "ap_height_m": ("ap_height_m", "m", 1.0, _nonneg, ">= 0"),
-    "ris_height_m": ("ris_height_m", "m", 1.0, _nonneg, ">= 0"),
-    "iu_height_m": ("iu_height_m", "m", 1.0, _nonneg, ">= 0"),
-    "min_ap_iu_separation_m": ("min_ap_iu_separation_m", "m", 1.0,
-                               _nonneg, ">= 0"),
-    "pathloss_exponent": ("pathloss_exponent", "", 1.0, _positive, "> 0"),
-    "inner_tol": ("inner_tol", "", 1.0, _positive, "> 0"),
-    "inner_max_iter": ("inner_max_iter", "", 1, _at_least_1, ">= 1"),
-    "outer_tol": ("outer_tol", "", 1.0, _positive, "> 0"),
-    "outer_max_iter": ("outer_max_iter", "", 1, _at_least_1, ">= 1"),
-    "power_rounds": ("power_rounds", "", 1, _at_least_1, ">= 1"),
-    "exhaustive_cap": ("exhaustive_cap", "", 1, _at_least_1, ">= 1"),
-    "realizations": ("realizations", "", 1, _at_least_1, ">= 1"),
-    "master_seed": ("master_seed", "", 1, lambda x: 0 <= x < 2 ** 64,
-                    "in [0, 2^64)"),
+    "carrier_freq_hz": ("carrier_freq_ghz", "ghz", 1e9, "> 0"),
+    "num_antennas": ("num_antennas", "", 1, ">= 1"),
+    "num_ius": ("num_ius", "", 1, ">= 1"),
+    "num_riss": ("num_riss", "", 1, ">= 0"),
+    "ris_elements_y": ("ris_elements_y", "", 1, ">= 1"),
+    "ris_elements_z": ("ris_elements_z", "", 1, ">= 1"),
+    "area_m2": ("area_m2", "m2", 1.0, "> 0"),
+    "noise_density_dbm_hz": ("noise_density_dbm_hz", "dbm/hz", 1.0, "finite"),
+    "noise_figure_db": ("noise_figure_db", "db", 1.0, "finite"),
+    "bandwidth_hz": ("bandwidth_mhz", "mhz", 1e6, "> 0"),
+    "ap_height_m": ("ap_height_m", "m", 1.0, ">= 0"),
+    "ris_height_m": ("ris_height_m", "m", 1.0, ">= 0"),
+    "iu_height_m": ("iu_height_m", "m", 1.0, ">= 0"),
+    "min_ap_iu_separation_m": ("min_ap_iu_separation_m", "m", 1.0, ">= 0"),
+    "pathloss_exponent": ("pathloss_exponent", "", 1.0, "> 0"),
+    "power_rounds": ("power_rounds", "", 1, ">= 1"),
+    "exhaustive_cap": ("exhaustive_cap", "", 1, ">= 1"),
+    "realizations": ("realizations", "", 1, ">= 1"),
+    "master_seed": ("master_seed", "", 1, "in [0, 2^64)"),
 }
 
 
@@ -92,10 +81,6 @@ class ScenarioConfig:
     iu_height_m: float = 1.5
     min_ap_iu_separation_m: float = 1.0
     pathloss_exponent: float = 2.0
-    inner_tol: float = 1e-8
-    inner_max_iter: int = 500
-    outer_tol: float = 1e-6
-    outer_max_iter: int = 50
     rho_variant: str = "derivative"
     power_rounds: int = 2
     exhaustive_cap: int = 100_000
@@ -106,15 +91,15 @@ class ScenarioConfig:
     element_sweep: tuple = (100, 625, 2500)
 
     def __post_init__(self):
-        for field, (key, _, scale, check, bounds) in _RANGES.items():
+        for field, (key, _, scale, bounds) in _RANGES.items():
             value = getattr(self, field)
-            if not check(value):
+            if not _BOUNDS[bounds](value):
                 shown = value if scale == 1 else value / scale
                 raise ConfigError(
                     f"{key}: value {shown} out of range, must be {bounds}")
         if not 0.0 < self.p_max_w < math.inf:
             raise ConfigError(f"p_max_dbm: budget of {self.p_max_w} W out "
-                              "of range, must be a finite dBm value")
+                              "of range, must be positive and finite")
         if self.rho_variant not in RHO_VARIANTS:
             raise ConfigError(f"rho_variant: {self.rho_variant!r} not one of "
                               f"{', '.join(RHO_VARIANTS)}")
@@ -134,8 +119,8 @@ class ScenarioConfig:
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigError(f"{key}: values must be strictly increasing")
         for v in self.power_sweep_dbm:
-            if not math.isfinite(v):
-                raise ConfigError(f"power_sweep_dbm: {v} is not finite")
+            if not 0.0 < dbm_to_watt(v) < math.inf:
+                raise ConfigError(f"power_sweep_dbm: {v} is out of range")
         for v in self.element_sweep:
             if v < 1 or math.isqrt(v) ** 2 != v:
                 raise ConfigError(f"element_sweep: {v} is not a perfect "
@@ -145,6 +130,11 @@ class ScenarioConfig:
             raise ConfigError(
                 "min_ap_iu_separation_m: must be below the area diagonal "
                 f"({diagonal:.3f} m), got {self.min_ap_iu_separation_m}")
+
+    @property
+    def p_max_dbm(self):
+        """The budget in dBm, rounded to 10 decimals as it is written out."""
+        return round(watt_to_dbm(self.p_max_w), 10)
 
     @property
     def num_elements(self):
@@ -168,7 +158,7 @@ class ScenarioConfig:
 _TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 # config key -> (field, unit suffix, scale to SI)
 _KEYS = {key: (field, unit, scale)
-         for field, (key, unit, scale, _, _) in _RANGES.items()}
+         for field, (key, unit, scale, _) in _RANGES.items()}
 
 
 def _strip_unit(raw, unit):
@@ -244,18 +234,20 @@ def load_config(path, overrides=()):
 
 
 def format_config(cfg):
-    """One key per line, resolved SI values, for run logs."""
+    """The config as a config file, each key in its file units, for run
+    logs; derived values follow as comments. Parsing the text gives back
+    the config."""
     lines = []
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            parts = [v if isinstance(v, str) else repr(v) for v in value]
-            lines.append(f"{f.name} = {','.join(parts)}")
-        elif isinstance(value, str):
-            lines.append(f"{f.name} = {value}")
-        else:
-            lines.append(f"{f.name} = {value!r}")
-    lines.append(f"num_elements = {cfg.num_elements}")
-    lines.append(f"area_side_m = {cfg.area_side_m!r}")
-    lines.append(f"noise_power_w = {cfg.noise_power_w!r}")
+        key, value = f.name, getattr(cfg, f.name)
+        if key in _RANGES:
+            key, _, scale, _ = _RANGES[key]
+            value = value if scale == 1 else value / scale
+        elif key == "p_max_w":
+            key, value = "p_max_dbm", cfg.p_max_dbm
+        elif isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key} = {value}")
+    for name in ("p_max_w", "num_elements", "area_side_m", "noise_power_w"):
+        lines.append(f"# {name} = {getattr(cfg, name)}")
     return "\n".join(lines)

@@ -128,7 +128,5 @@ def sca_power(gm, p_max, init=None, outer_tol=1e-6, outer_max=50,
 
 
 def sca_power_for_config(gm, cfg, init=None):
-    """sca_power with tolerances, caps, and variant taken from the config."""
-    return sca_power(gm, cfg.p_max_w, init=init, outer_tol=cfg.outer_tol,
-                     outer_max=cfg.outer_max_iter, inner_tol=cfg.inner_tol,
-                     inner_max=cfg.inner_max_iter, variant=cfg.rho_variant)
+    """sca_power with the budget and variant taken from the config."""
+    return sca_power(gm, cfg.p_max_w, init=init, variant=cfg.rho_variant)

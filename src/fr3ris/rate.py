@@ -50,6 +50,6 @@ def sum_rate(gm, p):
 
 
 def association_sum_rate(channels, assoc, p, noise_power_w):
-    """Full coupled sum rate of an association: co-phase, MRT, gains, rate."""
+    """Full coupled sum rate of an association at power vector p."""
     gm = gains_for_association(channels, assoc, noise_power_w)
     return sum_rate(gm, p).sum_rate

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fr3ris.association import (Association, count_feasible_associations,
@@ -14,7 +16,7 @@ from fr3ris.rate import association_sum_rate
 from fr3ris.topology import NetworkTopology
 from fr3ris.channel import synthesize_channels
 
-from oracles import blocking_pair_oracle
+from oracles import blocking_pair_oracle, gain_matrix_oracle, rate_oracle
 
 
 class _PickLast:
@@ -235,6 +237,49 @@ def test_exhaustive_enumerates_and_dominates():
     u = utility_matrix(ch, p, 1e-2)
     da_rate = association_sum_rate(ch, match_deferred_acceptance(u), p, 1e-2)
     assert best_rate >= da_rate - 1e-12
+
+
+def _every_association(k, l):
+    # all one-to-one partial IU -> RIS maps, as gamma lists
+    for j in range(min(k, l) + 1):
+        for ius in itertools.combinations(range(k), j):
+            for riss in itertools.permutations(range(l), j):
+                gamma = [[0] * l for _ in range(k)]
+                for user, surface in zip(ius, riss):
+                    gamma[user][surface] = 1
+                yield gamma
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), l=st.integers(0, 4), m=st.integers(1, 4),
+       n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+@example(k=3, l=0, m=2, n=3, seed=1)  # no surfaces
+@example(k=2, l=4, m=3, n=2, seed=2)  # fewer IUs than surfaces
+@example(k=4, l=2, m=2, n=4, seed=3)  # more IUs than surfaces
+def test_utilities_and_exhaustive_match_brute_force(k, l, m, n, seed):
+    rng = np.random.default_rng(seed)
+    ch = _rand_channelset(rng, k=k, l=l, m=m, n=n)
+    p = rng.uniform(0.1, 1.0, k)
+    noise = 10.0 ** rng.uniform(-1, 1)
+
+    def rates(gamma):
+        g = gain_matrix_oracle(ch.direct, ch.ap_ris, ch.ris_iu, gamma)
+        return rate_oracle(g, [noise] * k, p)[1]
+
+    u = utility_matrix(ch, p, noise)
+    for kk in range(k):
+        for ll in range(l):
+            gamma = [[int(i == kk and j == ll) for j in range(l)]
+                     for i in range(k)]
+            assert u[kk, ll] == pytest.approx(rates(gamma)[kk], rel=1e-9,
+                                              abs=1e-12)
+    scored = [(sum(rates(gamma)), gamma) for gamma in _every_association(k, l)]
+    top = max(rate for rate, _ in scored)
+    best, best_rate = exhaustive_association(ch, p, noise)
+    assert best_rate == pytest.approx(top, rel=1e-9)
+    # the chosen association is the brute-force winner, up to exact ties
+    assert best.gamma.tolist() in [gamma for rate, gamma in scored
+                                   if rate >= top * (1.0 - 1e-9)]
 
 
 def test_exhaustive_cap():

@@ -131,18 +131,19 @@ def test_channelset_shape_validation():
     _rand_channelset(rng)  # well-formed passes
 
 
-# -- co-phased cascades -----------------------------------------------------
+# -- co-phased links ---------------------------------------------------------
 
 def test_cophase_zero_direct_single_element_real_positive():
+    # one element, one antenna: the reflected path adds to the direct one
+    # in magnitude only if it lands in phase with it
     rng = np.random.default_rng(40)
     ch = ChannelSet(
-        direct=np.zeros((1, 1), dtype=complex),
+        direct=np.exp(2j * np.pi * rng.random((1, 1))) * 0.2,
         ap_ris=np.exp(2j * np.pi * rng.random((1, 1, 1))) * 0.3,
         ris_iu=np.exp(2j * np.pi * rng.random((1, 1, 1))) * 0.5,
         carrier_freq_hz=15e9)
-    h = ch.direct[0] + ch.cascades[0, 0, 0]
-    assert h[0].imag == pytest.approx(0.0, abs=1e-12)
-    assert h[0].real == pytest.approx(0.3 * 0.5, rel=1e-12)
+    g = gains_for_association(ch, np.array([[1]]), 1.0).g
+    assert g[0, 0] == pytest.approx((0.2 + 0.3 * 0.5) ** 2, rel=1e-12)
 
 
 def test_cophase_coherent_sum_over_elements():
@@ -151,10 +152,12 @@ def test_cophase_coherent_sum_over_elements():
     ch = ChannelSet(direct=np.zeros_like(ch_phys.direct),
                     ap_ris=ch_phys.ap_ris, ris_iu=ch_phys.ris_iu,
                     carrier_freq_hz=ch_phys.carrier_freq_hz)
-    h = ch.direct[0] + ch.cascades[0, 0, 0]
+    g = gains_for_association(ch, np.array([[1]]), 1.0).g
     l1 = pathloss(topo.ap_ris_distances()[0], 15e9)
     l2 = pathloss(topo.ris_iu_distances()[0, 0], 15e9)
-    np.testing.assert_allclose(np.abs(h), 4.0 * np.sqrt(l1 * l2), rtol=1e-12)
+    # every antenna hears |4 sqrt(l1 l2)|
+    assert g[0, 0] == pytest.approx(
+        cfg.num_antennas * (4.0 * np.sqrt(l1 * l2)) ** 2, rel=1e-12)
 
 
 def test_cophase_beats_random_phase_profiles():
@@ -162,7 +165,7 @@ def test_cophase_beats_random_phase_profiles():
     ch = ChannelSet(direct=np.zeros_like(ch_phys.direct),
                     ap_ris=ch_phys.ap_ris, ris_iu=ch_phys.ris_iu,
                     carrier_freq_hz=ch_phys.carrier_freq_hz)
-    best = np.linalg.norm(ch.direct[0] + ch.cascades[0, 0, 0])
+    best = np.sqrt(gains_for_association(ch, np.array([[1]]), 1.0).g[0, 0])
     rng = np.random.default_rng(41)
     for _ in range(100):
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, size=ch.num_elements))
@@ -184,9 +187,9 @@ def test_unassigned_ris_keeps_zero_phase():
 
 
 def test_channel_arrays_are_read_only():
-    # an in-place write would leave the cascade table stale
+    # an in-place write would leave the gain table stale
     ch = _rand_channelset(np.random.default_rng(44))
-    for arr in (ch.direct, ch.ap_ris, ch.ris_iu, ch.cascades):
+    for arr in (ch.direct, ch.ap_ris, ch.ris_iu, ch.link_gains):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
 
@@ -208,14 +211,19 @@ def test_effective_channel_without_association_is_direct():
 def test_effective_channel_matches_naive_loop():
     rng = np.random.default_rng(45)
     ch = _rand_channelset(rng, k=2, l=2, m=3, n=4)
-    assert ch.cascades.shape == (2, 2, 2, 4)
-    for l in range(2):
-        for s in range(2):
-            theta = _cophase_profile(ch, l, s)
+    assert ch.link_gains.shape == (3, 2, 2)
+    for l in range(-1, 2):
+        for i in range(2):
+            # the channels IU i's beam meets on link l (-1: direct)
+            h = ch.direct.copy()
+            if l >= 0:
+                theta = _cophase_profile(ch, l, i)
+                for k in range(2):
+                    h[k] += _through_loop(ch, l, theta, k)
+            w = h[i] / np.linalg.norm(h[i])
             for k in range(2):
-                np.testing.assert_allclose(
-                    ch.direct[k] + ch.cascades[l, s, k],
-                    ch.direct[k] + _through_loop(ch, l, theta, k), rtol=1e-12)
+                assert ch.link_gains[l + 1, k, i] == pytest.approx(
+                    abs(np.vdot(h[k], w)) ** 2, rel=1e-12)
 
 
 def test_effective_channel_ignores_unselected_ris():
@@ -270,13 +278,33 @@ def test_mrt_rejects_zero_effective_channel():
         gains_for_association(ch, np.zeros((1, 0), dtype=int), 1.0)
 
 
+def test_zero_direct_row_fails_only_associations_that_use_it():
+    # IU 0 has no direct path: the set still builds, IU 0 on a surface
+    # gets finite gains, and only an association leaving IU 0's beam on
+    # the direct link fails
+    ch = _rand_channelset(np.random.default_rng(55), k=2, l=1, m=3, n=4)
+    direct = ch.direct.copy()
+    direct[0] = 0.0
+    ch = ChannelSet(direct=direct, ap_ris=ch.ap_ris, ris_iu=ch.ris_iu,
+                    carrier_freq_hz=ch.carrier_freq_hz)
+    gamma = np.array([[1], [0]])
+    g = gains_for_association(ch, gamma, 1e-11).g
+    assert np.all(np.isfinite(g)) and g[0, 0] > 0.0
+    np.testing.assert_allclose(
+        g, gain_matrix_oracle(ch.direct, ch.ap_ris, ch.ris_iu, gamma),
+        rtol=1e-9)
+    for direct_only in (np.array([[0], [1]]), np.zeros((2, 1), dtype=int)):
+        with pytest.raises(NumericError, match="IU 0"):
+            gains_for_association(ch, direct_only, 1e-11)
+
+
 # -- gain matrix ------------------------------------------------------------
 
 def test_gain_matrix_k1_equals_channel_energy():
     rng = np.random.default_rng(49)
     ch = _rand_channelset(rng, k=1, l=1, m=3, n=4)
     gm = gains_for_association(ch, np.array([[1]]), 1e-11)
-    h = ch.direct[0] + ch.cascades[0, 0, 0]
+    h = ch.direct[0] + _through_loop(ch, 0, _cophase_profile(ch, 0, 0), 0)
     assert gm.g[0, 0] == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-12)
 
 
@@ -342,7 +370,8 @@ def test_mrt_diagonal_attains_cauchy_schwarz_bound():
         gm = gains_for_association(ch, np.array([[1, 0], [0, 1], [0, 0]]),
                                    1e-11)
         for k, l in ((0, 0), (1, 1), (2, -1)):
-            h = ch.direct[k] if l < 0 else ch.direct[k] + ch.cascades[l, k, k]
+            h = ch.direct[k] if l < 0 else (
+                ch.direct[k] + _through_loop(ch, l, _cophase_profile(ch, l, k), k))
             bound = np.linalg.norm(h) ** 2
             assert gm.g[k, k] <= bound * (1 + 1e-9)
             assert gm.g[k, k] == pytest.approx(bound, rel=1e-9)

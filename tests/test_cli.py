@@ -31,8 +31,19 @@ def tiny_cfg(tmp_path):
 def test_validate_config_echoes_resolved_config(capsys):
     assert cli.main(["validate-config"]) == 0
     out = capsys.readouterr().out
-    assert "p_max_w" in out
+    assert "p_max_dbm = 23.0" in out
+    assert "# p_max_w = " in out
     assert "master_seed = 42" in out
+
+
+def test_validate_config_output_is_a_config_file(tiny_cfg, tmp_path, capsys):
+    assert cli.main(["validate-config", "--config", tiny_cfg,
+                     "--seed", "99"]) == 0
+    echoed = capsys.readouterr().out
+    again = tmp_path / "echoed.cfg"
+    again.write_text(echoed)
+    assert cli.main(["validate-config", "--config", str(again)]) == 0
+    assert capsys.readouterr().out == echoed
 
 
 def test_validate_config_applies_overrides(tiny_cfg, capsys):
@@ -224,6 +235,7 @@ _BAD_VALUES = [
     ("element_sweep", "-4", "sweep-elements", "--values", (-4,)),
     ("power_sweep_dbm", "nan", "sweep-power", "--values", (math.nan,)),
     ("power_sweep_dbm", "inf", "sweep-power", "--values", (math.inf,)),
+    ("power_sweep_dbm", "4000", "sweep-power", "--values", (4000.0,)),
     ("master_seed", "-1", "run", "--seed", -1),
     ("realizations", "0", "run", "--realizations", 0),
 ]

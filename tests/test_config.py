@@ -113,8 +113,9 @@ def test_separation_must_fit_in_area():
 
 def test_format_config_lists_every_field_and_derived_values():
     text = format_config(ScenarioConfig())
-    assert "p_max_w = " in text
-    assert "noise_power_w = " in text
+    assert "p_max_dbm = 23.0" in text
+    assert "# p_max_w = " in text
+    assert "# noise_power_w = " in text
     assert "master_seed = 42" in text
     # the log round-trips through the parser's key set for plain fields
     assert "num_ius = 5" in text
@@ -143,5 +144,48 @@ def test_direct_construction_runs_the_same_checks():
                         "min_ap_iu_separation_m")):
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig(**bad)
-    with pytest.raises(ConfigError, match="p_max_dbm"):
-        parse_config("p_max_dbm = nan")
+    for text in ("nan", "4000"):
+        with pytest.raises(ConfigError, match="p_max_dbm"):
+            parse_config(f"p_max_dbm = {text}")
+
+
+# every key, none at its default
+_EVERY_KEY = """
+carrier_freq_ghz = 28.3
+num_antennas = 16
+num_ius = 4
+num_riss = 2
+ris_elements_y = 8
+ris_elements_z = 6
+area_m2 = 400
+p_max_dbm = 17.35
+noise_density_dbm_hz = -173.8
+noise_figure_db = 7.5
+bandwidth_mhz = 123.4
+ap_height_m = 12
+ris_height_m = 4.5
+iu_height_m = 1.2
+min_ap_iu_separation_m = 2.5
+pathloss_exponent = 2.7
+rho_variant = log-denominator
+power_rounds = 3
+exhaustive_cap = 5000
+schemes = exhaustive, random
+realizations = 17
+master_seed = 18446744073709551615
+power_sweep_dbm = -3.5, 0.1, 27.25
+element_sweep = 1, 49, 400
+"""
+
+
+def _keys(text):
+    return [line.split("=", 1)[0].strip() for line in text.splitlines()
+            if line.strip() and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("text", ["", _EVERY_KEY], ids=["defaults", "every-key"])
+def test_formatted_config_parses_back_to_itself(text):
+    cfg = parse_config(text)
+    out = format_config(cfg)
+    assert parse_config(out) == cfg
+    assert sorted(_keys(out)) == sorted(_keys(_EVERY_KEY))
