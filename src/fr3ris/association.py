@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError, SizeError
-from .rate import association_sum_rate, sum_rate
-from .channel import gains_for_association
+from .channel import GainMatrix
+from .rate import _check_power, association_sum_rate
 
 
 @dataclass(frozen=True)
@@ -69,16 +69,31 @@ class Association:
 
 
 def utility_matrix(channels, p_star, noise_power_w):
-    """u[k, l]: IU k's own rate if RIS l serves it and nobody else uses a RIS."""
+    """u[k, l]: IU k's own rate if RIS l serves it and nobody else uses a RIS.
+
+    Read straight from the link-gain table: IU k's signal is its beam's
+    gain through RIS l, link_gains[l + 1, k, k]; its interference is
+    row k of the direct-link gains without the diagonal.
+    """
     k_count, l_count = channels.num_ius, channels.num_riss
-    u = np.zeros((k_count, l_count))
-    for k in range(k_count):
-        for l in range(l_count):
-            gamma = np.zeros((k_count, l_count), dtype=np.int64)
-            gamma[k, l] = 1
-            gm = gains_for_association(channels, gamma, noise_power_w)
-            u[k, l] = sum_rate(gm, p_star).per_iu_rate[k]
-    return u
+    if l_count == 0:
+        return np.zeros((k_count, 0))
+    table = channels.link_gains
+    users = np.arange(k_count)
+    own = table[1:, users, users].T  # (K, L)
+    direct = table[0].copy()
+    direct[users, users] = 0.0
+    # a NaN column is an IU whose effective channel is zero on that link;
+    # the diagonal of the direct gains is never read, so with K = 1 a zero
+    # direct channel fails nothing
+    zero = np.isnan(own).any(axis=1) | np.isnan(direct).any(axis=0)
+    if zero.any():
+        raise NumericError(
+            f"effective channel of IU {np.flatnonzero(zero)[0]} is zero")
+    gm = GainMatrix(g=direct, noise_power=noise_power_w)
+    p = _check_power(gm, p_star)
+    interf = gm.g @ p + gm.noise_power
+    return np.log2(1.0 + p[:, None] * own / interf[:, None])
 
 
 def _check_utilities(u):

@@ -7,7 +7,9 @@ Element spacing therefore never enters; randomness comes from IU placement
 only. On top of that: a ChannelSet forms, once, every IU's MRT beam on
 every link it could use (direct, or through a RIS co-phased for it) and
 keeps the power each beam delivers at every IU; the K x K gain matrix of
-any association is a gather from that table.
+any association is a gather from that table. The table takes one
+(K, M) x (M, N) product per (RIS, served IU): every IU's channel through
+that RIS co-phased for that IU at once.
 """
 
 from dataclasses import dataclass, field
@@ -65,9 +67,9 @@ class ChannelSet:
                 through = np.conj(a[li, :, 0]) * r[li, s]
                 phases = np.mod(np.angle(d[s, 0]) - np.angle(through),
                                 2.0 * np.pi)
-                coeffs = np.exp(1j * phases)
-                h = d + np.array([numerics.matvec_hermitian(
-                    a[li], coeffs * r[li, ki]) for ki in range(k)])
+                # every IU's channel through RIS li co-phased for s
+                h = d + numerics.matvec_hermitian(
+                    a[li], np.exp(1j * phases) * r[li])
                 gains[li + 1, :, s] = _beam_gains(h, s)
         gains.setflags(write=False)
         object.__setattr__(self, "link_gains", gains)

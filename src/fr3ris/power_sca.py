@@ -2,8 +2,9 @@
 
 The sum rate splits into concave-minus-concave parts; linearizing the
 subtracted part at the current iterate gives a concave surrogate whose
-maximizer never decreases the true sum rate. The surrogate is solved by
-projected gradient ascent over {p >= 0, sum(p) <= P_max}.
+maximizer never decreases the true sum rate. The surrogate is solved over
+{p >= 0, sum(p) <= P_max} by an active-set projected Newton method with a
+projected-gradient fallback (`_kernels.solve_inner`).
 """
 
 from dataclasses import dataclass, field
@@ -21,11 +22,15 @@ _LN2 = float(np.log(2.0))
 
 @dataclass(frozen=True)
 class ScaTrace:
-    """True sum rate at the initial point and after each outer step."""
+    """True sum rate at the initial point and after each outer step, the
+    inner iterations summed over the outer steps, and how many inner
+    solves stopped without meeting their tolerance."""
 
     objective_per_iteration: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+    inner_iterations: int = 0
+    inner_unconverged: int = 0
 
 
 def surrogate_gradient(gm, p_t, variant="derivative"):
@@ -81,9 +86,15 @@ def surrogate_rate_bound(gm, p, p_t, variant="derivative"):
 def solve_inner(gm, p_t, p_max, tol=1e-8, max_iter=500, variant="derivative"):
     """Maximize the surrogate expanded at p_t over the power set.
 
-    Projected gradient ascent with Armijo backtracking; stops when the
-    unit-step gradient mapping norm falls below tol.
+    Active-set projected Newton with an Armijo search along the
+    projection arc; stops when the unit-step gradient mapping norm falls
+    below tol or after max_iter iterations.
     """
+    return _solve_inner(gm, p_t, p_max, tol, max_iter, variant)[0]
+
+
+def _solve_inner(gm, p_t, p_max, tol, max_iter, variant):
+    # solve_inner, also returning (iterations, converged)
     p_t = _check_power(gm, p_t)
     p_max = float(p_max)
     if not np.isfinite(p_max) or p_max <= 0.0:
@@ -91,9 +102,8 @@ def solve_inner(gm, p_t, p_max, tol=1e-8, max_iter=500, variant="derivative"):
     rho = surrogate_gradient(gm, p_t, variant)
     rho_col = np.ascontiguousarray(rho.sum(axis=0))
     g = np.ascontiguousarray(gm.g)
-    p, _, _ = _kernels.solve_inner(g, gm.noise_power, rho_col, p_t, p_max,
-                                   tol, int(max_iter), ARMIJO_C, ARMIJO_BETA)
-    return p
+    return _kernels.solve_inner(g, gm.noise_power, rho_col, p_t, p_max,
+                                tol, int(max_iter), ARMIJO_C, ARMIJO_BETA)
 
 
 def sca_power(gm, p_max, init=None, outer_tol=1e-6, outer_max=50,
@@ -102,7 +112,8 @@ def sca_power(gm, p_max, init=None, outer_tol=1e-6, outer_max=50,
 
     Returns the final allocation and a trace of true sum rates, one entry
     per visited iterate; the trace is non-decreasing for the "derivative"
-    variant by the minorant argument.
+    variant by the minorant argument. The trace also counts the inner
+    iterations and the inner solves that ended unconverged.
     """
     k = gm.num_ius
     p_max = float(p_max)
@@ -114,17 +125,21 @@ def sca_power(gm, p_max, init=None, outer_tol=1e-6, outer_max=50,
             f"initial allocation spends {p.sum()} of budget {p_max}")
     objective = [sum_rate(gm, p).sum_rate]
     converged = False
-    iterations = 0
+    iterations = inner_iterations = inner_unconverged = 0
     for _ in range(int(outer_max)):
         iterations += 1
-        p = solve_inner(gm, p, p_max, tol=inner_tol, max_iter=inner_max,
-                        variant=variant)
+        p, n_inner, inner_ok = _solve_inner(gm, p, p_max, inner_tol,
+                                            inner_max, variant)
+        inner_iterations += n_inner
+        inner_unconverged += not inner_ok
         objective.append(sum_rate(gm, p).sum_rate)
         if abs(objective[-1] - objective[-2]) < outer_tol:
             converged = True
             break
     return p, ScaTrace(objective_per_iteration=objective,
-                       iterations=iterations, converged=converged)
+                       iterations=iterations, converged=converged,
+                       inner_iterations=inner_iterations,
+                       inner_unconverged=inner_unconverged)
 
 
 def sca_power_for_config(gm, cfg, init=None):

@@ -169,3 +169,59 @@ def blocking_pair_oracle(u, gamma):
             if partner.get(k) != l and ius_prefers(k, l) and ris_prefers(l, k):
                 return (k, l)
     return None
+
+
+def _project_sorted(y, p_max):
+    # projection onto {q >= 0, sum(q) <= p_max}: clamp, else the simplex
+    # threshold from the largest prefix whose mean excess stays positive
+    q = np.maximum(y, 0.0)
+    if q.sum() <= p_max:
+        return q
+    u = np.sort(y)[::-1]
+    excess = (np.cumsum(u) - p_max) / np.arange(1, len(u) + 1)
+    tau = excess[np.flatnonzero(u > excess)[-1]]
+    return np.maximum(y - tau, 0.0)
+
+
+def armijo_inner_oracle(g, sigma2, rho_col, p0, p_max, tol, max_iter,
+                        armijo_c, armijo_beta):
+    """Maximize sum_k log2(g[k] @ p + sigma2[k]) - rho_col @ p over
+    {p >= 0, sum(p) <= p_max} by projected gradient ascent with an
+    adaptive Armijo step: it warm-starts at the last accepted step and
+    grows while that keeps paying off. Stops when the unit-step gradient
+    mapping norm is at most tol. Returns (p, iterations, converged).
+    The first-order reference for `_kernels.solve_inner`."""
+    def value(p):
+        return np.sum(np.log2(g @ p + sigma2)) - np.dot(rho_col, p)
+
+    def accepted(f_new, f_cur, grad, q, p):
+        return f_new >= f_cur + armijo_c * np.dot(grad, q - p)
+
+    gt = g.T.copy()
+    p = _project_sorted(p0, p_max)
+    f_cur = value(p)
+    step = 1.0
+    for n_iter in range(1, max_iter + 1):
+        grad = gt @ (1.0 / ((g @ p + sigma2) * math.log(2.0))) - rho_col
+        if np.linalg.norm(p - _project_sorted(p + grad, p_max)) <= tol:
+            return p, n_iter, True
+        q = _project_sorted(p + step * grad, p_max)
+        f_new = value(q)
+        if accepted(f_new, f_cur, grad, q, p):
+            while step < 1e12:
+                q2 = _project_sorted(p + step / armijo_beta * grad, p_max)
+                f2 = value(q2)
+                if not (f2 > f_new and accepted(f2, f_cur, grad, q2, p)):
+                    break
+                step, q, f_new = step / armijo_beta, q2, f2
+        else:
+            while True:
+                step *= armijo_beta
+                if step < 1e-20:
+                    return p, n_iter, False
+                q = _project_sorted(p + step * grad, p_max)
+                f_new = value(q)
+                if accepted(f_new, f_cur, grad, q, p):
+                    break
+        p, f_cur = q, f_new
+    return p, max_iter, False

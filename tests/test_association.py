@@ -66,18 +66,43 @@ def test_utility_matrix_empty_when_no_ris():
 
 
 def test_utility_matrix_agrees_with_rate_module():
-    rng = np.random.default_rng(81)
-    ch = _rand_channelset(rng, k=2, l=2)
-    p = np.array([0.2, 0.3])
-    u = utility_matrix(ch, p, 1e-2)
+    # the loop definition: IU k's rate in the full gain matrix of the
+    # association that puts k alone on RIS l
     from fr3ris.channel import gains_for_association
     from fr3ris.rate import sum_rate
-    for k in range(2):
-        for l in range(2):
-            gm = gains_for_association(
-                ch, Association.from_pairs([(k, l)], 2, 2), 1e-2)
-            assert u[k, l] == pytest.approx(sum_rate(gm, p).per_iu_rate[k],
-                                            abs=1e-12)
+    rng = np.random.default_rng(81)
+    for k_count, l_count in [(2, 2), (1, 3), (5, 3), (4, 1), (3, 4)]:
+        ch = _rand_channelset(rng, k=k_count, l=l_count,
+                              m=int(rng.integers(1, 6)),
+                              n=int(rng.integers(1, 5)))
+        p = rng.uniform(0.0, 0.5, k_count)
+        noise = 10.0 ** rng.uniform(-3, 0)
+        u = utility_matrix(ch, p, noise)
+        assert u.shape == (k_count, l_count)
+        for k in range(k_count):
+            for l in range(l_count):
+                gm = gains_for_association(
+                    ch, Association.from_pairs([(k, l)], k_count, l_count),
+                    noise)
+                assert u[k, l] == pytest.approx(
+                    sum_rate(gm, p).per_iu_rate[k], rel=0.0, abs=1e-12)
+
+
+def test_utility_matrix_zero_channel_fails_like_the_pairs_it_reads():
+    # IU 0's direct channel is zero: with K = 1 no pair reads it; with
+    # K = 2 every pair that leaves IU 0 on its direct link does
+    rng = np.random.default_rng(82)
+    for k_count in (1, 2):
+        ch = _rand_channelset(rng, k=k_count, l=2)
+        direct = ch.direct.copy()
+        direct[0] = 0.0
+        ch = ChannelSet(direct=direct, ap_ris=ch.ap_ris, ris_iu=ch.ris_iu,
+                        carrier_freq_hz=ch.carrier_freq_hz)
+        if k_count == 1:
+            assert np.all(np.isfinite(utility_matrix(ch, np.ones(1), 1e-2)))
+        else:
+            with pytest.raises(NumericError, match="IU 0"):
+                utility_matrix(ch, np.ones(2), 1e-2)
 
 
 def test_utility_matrix_favors_nearby_iu():

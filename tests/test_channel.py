@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fr3ris.channel import (ChannelSet, GainMatrix, SPEED_OF_LIGHT,
@@ -11,6 +11,7 @@ from fr3ris.config import ScenarioConfig
 from fr3ris.errors import DimensionError, NumericError
 from fr3ris.topology import NetworkTopology, sample_topology
 
+from fr3ris import numerics
 from oracles import gain_matrix_oracle
 
 
@@ -224,6 +225,52 @@ def test_effective_channel_matches_naive_loop():
             for k in range(2):
                 assert ch.link_gains[l + 1, k, i] == pytest.approx(
                     abs(np.vdot(h[k], w)) ** 2, rel=1e-12)
+
+
+def _link_gains_per_vector(ch):
+    # the table from its definition: one matvec per (surface, served IU,
+    # IU), then each served IU's unit MRT beam
+    k_count, l_count = ch.num_ius, ch.num_riss
+    table = np.empty((l_count + 1, k_count, k_count))
+    for l in range(-1, l_count):
+        for s in range(k_count):
+            h = ch.direct.copy()
+            if l >= 0:
+                theta = _cophase_profile(ch, l, s)
+                for k in range(k_count):
+                    h[k] += numerics.matvec_hermitian(ch.ap_ris[l],
+                                                      theta * ch.ris_iu[l, k])
+            norm = np.linalg.norm(h[s])
+            for k in range(k_count):
+                table[l + 1, k, s] = (abs(np.vdot(h[s], h[k])) ** 2 / norm ** 2
+                                      if norm > 0.0 else np.nan)
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 5), l=st.integers(0, 3), m=st.integers(1, 6),
+       n=st.integers(1, 5), zero_iu=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(k=3, l=0, m=2, n=3, zero_iu=False, seed=1)  # no surfaces
+@example(k=3, l=2, m=1, n=4, zero_iu=False, seed=2)  # one element
+@example(k=3, l=2, m=4, n=2, zero_iu=True, seed=3)   # zero channel
+def test_link_gains_match_per_vector_definition(k, l, m, n, zero_iu, seed):
+    ch = _rand_channelset(np.random.default_rng(seed), k=k, l=l, m=m, n=n)
+    if zero_iu:
+        # IU 0 has neither a direct nor a reflected path: its effective
+        # channel is zero on every link, so its column is NaN throughout
+        direct, ris_iu = ch.direct.copy(), ch.ris_iu.copy()
+        direct[0] = 0.0
+        ris_iu[:, 0] = 0.0
+        ch = ChannelSet(direct=direct, ap_ris=ch.ap_ris, ris_iu=ris_iu,
+                        carrier_freq_hz=ch.carrier_freq_hz)
+        assert np.all(np.isnan(ch.link_gains[:, :, 0]))
+    ref = _link_gains_per_vector(ch)
+    np.testing.assert_array_equal(np.isnan(ch.link_gains), np.isnan(ref))
+    finite = ~np.isnan(ref)
+    scale = ref[finite].max() if finite.any() else 0.0
+    np.testing.assert_allclose(ch.link_gains[finite], ref[finite],
+                               rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_effective_channel_ignores_unselected_ris():

@@ -211,22 +211,22 @@ def test_sweep_opens_one_pool_bounded_by_realizations(monkeypatch, caplog):
 # the channel model or to the pipeline's arithmetic moves it
 _FROZEN_POWER_SWEEP = (
     'sweep_var,sweep_value,scheme,mean_sum_rate_bps_hz,stderr,realizations\n'
-    'power,10,matching,6.9480009515680496,0.14457551416717676,10\n'
-    'power,10,greedy,6.9480009515680496,0.14457551416717676,10\n'
-    'power,10,random,6.9455147292807649,0.14511164401551369,10\n'
-    'power,10,exhaustive,6.9480009515680496,0.14457551416717676,10\n'
-    'power,13,matching,7.6793265404315632,0.18985088801496325,10\n'
-    'power,13,greedy,7.6793265404315632,0.18985088801496325,10\n'
-    'power,13,random,7.6756481221700215,0.19052071607254253,10\n'
-    'power,13,exhaustive,7.6793265404315632,0.18985088801496325,10\n'
-    'power,16,matching,8.5073713291033535,0.18091906644412811,10\n'
-    'power,16,greedy,8.5073713291033535,0.18091906644412811,10\n'
-    'power,16,random,8.5036417418366828,0.18137113309888997,10\n'
-    'power,16,exhaustive,8.5073713291033535,0.18091906644412811,10\n'
-    'power,19,matching,9.414660156750891,0.15311659634174257,10\n'
-    'power,19,greedy,9.414660156750891,0.15311659634174257,10\n'
-    'power,19,random,9.4109245324358053,0.15341656056499159,10\n'
-    'power,19,exhaustive,9.414660156750891,0.15311659634174257,10\n'
+    'power,10,matching,6.9480009515680781,0.14457551416717629,10\n'
+    'power,10,greedy,6.9480009515680781,0.14457551416717629,10\n'
+    'power,10,random,6.9455147292807906,0.14511164401551324,10\n'
+    'power,10,exhaustive,6.9480009515680781,0.14457551416717629,10\n'
+    'power,13,matching,7.6793265404315649,0.18985088801496275,10\n'
+    'power,13,greedy,7.6793265404315649,0.18985088801496275,10\n'
+    'power,13,random,7.6756481221700223,0.19052071607254203,10\n'
+    'power,13,exhaustive,7.6793265404315649,0.18985088801496275,10\n'
+    'power,16,matching,8.5073713291033499,0.18091906644412814,10\n'
+    'power,16,greedy,8.5073713291033499,0.18091906644412814,10\n'
+    'power,16,random,8.5036417418366828,0.18137113309889002,10\n'
+    'power,16,exhaustive,8.5073713291033499,0.18091906644412814,10\n'
+    'power,19,matching,9.414660156750891,0.15311659634174266,10\n'
+    'power,19,greedy,9.414660156750891,0.15311659634174266,10\n'
+    'power,19,random,9.4109245324358053,0.15341656056499153,10\n'
+    'power,19,exhaustive,9.414660156750891,0.15311659634174266,10\n'
     'power,23,matching,10.662362100716734,0.13839301551505714,10\n'
     'power,23,greedy,10.662362100716734,0.13839301551505714,10\n'
     'power,23,random,10.658598250903147,0.13848875501151689,10\n'
@@ -238,3 +238,25 @@ def test_power_sweep_csv_is_frozen():
                          ris_elements_y=3, ris_elements_z=3, realizations=10,
                          master_seed=11)
     assert format_csv(sweep(cfg, "power")) == _FROZEN_POWER_SWEEP
+
+
+def test_no_inner_solve_ends_unconverged_on_seeded_realizations(monkeypatch):
+    # the default scenario and the element-sweep points, master seed 42,
+    # realizations 0-11: every SCA inner solve meets its 1e-8 tolerance
+    traces = []
+    solve = experiment.sca_power_for_config
+
+    def recording(gm, cfg, init=None):
+        p, trace = solve(gm, cfg, init=init)
+        traces.append(trace)
+        return p, trace
+
+    monkeypatch.setattr(experiment, "sca_power_for_config", recording)
+    base = ScenarioConfig(master_seed=42)
+    points = [base] + [experiment._config_for_point(base, "elements", m)
+                       for m in base.element_sweep]
+    for cfg in points:
+        for index in range(12):
+            _run_schemes(cfg, index, cfg.schemes)
+    assert sum(t.inner_iterations for t in traces) > 0
+    assert sum(t.inner_unconverged for t in traces) == 0

@@ -44,6 +44,35 @@ def test_matvec_hermitian_rejects_bad_shapes():
         numerics.matvec_hermitian(np.ones(4), np.ones(4))
     with pytest.raises(DimensionError):
         numerics.matvec_hermitian(np.ones((3, 2)), np.ones(2))
+    # a (rows, m) x must match h's m rows; 3-d x is refused
+    with pytest.raises(DimensionError):
+        numerics.matvec_hermitian(np.ones((3, 2)), np.ones((4, 2)))
+    with pytest.raises(DimensionError):
+        numerics.matvec_hermitian(np.ones((3, 2)), np.ones((2, 4, 3)))
+
+
+def test_matvec_hermitian_rows_frozen_example():
+    # each row of x gives the same row as the 1-d product
+    h = np.array([[1 + 1j, 2], [0, 1j]])
+    x = np.array([[1.0, 1j], [1j, 0.0], [0.0, 2.0]])
+    got = numerics.matvec_hermitian(h, x)
+    np.testing.assert_allclose(
+        got, np.array([[1 - 1j, 3 + 0j], [1 + 1j, 2j], [0j, -2j]]), atol=1e-15)
+
+
+def test_matvec_hermitian_rows_match_loop_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(25):
+        rows = int(rng.integers(1, 8))
+        m = int(rng.integers(1, 30))
+        n = int(rng.integers(1, 30))
+        h = _rand_complex(rng, m, n)
+        x = _rand_complex(rng, rows, m)
+        ref = np.array([[_dot_oracle(h[:, j], x[r]) for j in range(n)]
+                        for r in range(rows)])
+        got = numerics.matvec_hermitian(h, x)
+        assert got.shape == (rows, n)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_projection_frozen_example():

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fr3ris import _kernels
 from fr3ris.channel import GainMatrix
 from fr3ris.errors import NumericError
-from fr3ris.power_sca import (sca_power, solve_inner, surrogate_gradient,
-                              surrogate_objective, surrogate_rate_bound)
+from fr3ris.power_sca import (ARMIJO_BETA, ARMIJO_C, sca_power, solve_inner,
+                              surrogate_gradient, surrogate_objective,
+                              surrogate_rate_bound)
 from fr3ris.rate import sum_rate
 
-from oracles import (grid_max, random_feasible_points, sum_rate_batch,
-                     surrogate_batch)
+from oracles import (armijo_inner_oracle, grid_max, random_feasible_points,
+                     sum_rate_batch, surrogate_batch)
 
 
 def _instance(rng, k=3, noise_lo=0.3, noise_hi=1.0):
@@ -160,6 +164,35 @@ def test_solve_inner_matches_grid_search():
             lambda pts: surrogate_batch(gm.g, gm.noise_power, rho, pts),
             k, p_max)
         assert got == pytest.approx(ref, abs=1e-6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 8), rank_one=st.booleans(),
+       log_snr=st.floats(0.0, 6.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(k=5, rank_one=True, log_snr=6.0, seed=1)
+@example(k=8, rank_one=False, log_snr=0.0, seed=2)
+def test_newton_inner_solver_matches_armijo_oracle(k, rank_one, log_snr,
+                                                   seed):
+    # dense gains, or rank-one g = a b^T whose Hessian is singular; the
+    # gain-to-noise ratio spans 1 to 1e6, the default scenario's range
+    rng = np.random.default_rng(seed)
+    if rank_one:
+        g = np.outer(rng.uniform(0.05, 1.0, k), rng.uniform(0.05, 1.0, k))
+    else:
+        g = rng.uniform(0.05, 1.0, (k, k))
+    gm = GainMatrix(g=g, noise_power=rng.uniform(0.5, 1.0, k) * 10.0 ** -log_snr)
+    p_max = float(rng.uniform(0.1, 2.0))
+    p_t = random_feasible_points(rng, 1, k, p_max)[0]
+    rho_col = surrogate_gradient(gm, p_t).sum(axis=0)
+    args = (gm.g, gm.noise_power, rho_col, p_t, p_max, 1e-8, 500)
+    p, _, converged = _kernels.solve_inner(*args, ARMIJO_C, ARMIJO_BETA)
+    ref, _, _ = armijo_inner_oracle(*args, ARMIJO_C, ARMIJO_BETA)
+    assert converged
+    # the projection's threshold leaves the sum within rounding of p_max
+    assert np.all(p >= 0.0) and p.sum() <= p_max * (1.0 + 1e-12)
+    value = _kernels.surrogate_value(gm.g, gm.noise_power, rho_col, p)
+    assert value >= _kernels.surrogate_value(
+        gm.g, gm.noise_power, rho_col, ref) - 1e-10
 
 
 def test_sca_trace_is_monotone_and_beats_uniform():
