@@ -29,8 +29,8 @@ class Association:
         g = np.asarray(self.gamma)
         if g.ndim != 2:
             raise DimensionError(f"gamma must be 2-d, got shape {g.shape}")
-        vals = np.unique(g)
-        if not np.all(np.isin(vals, (0, 1))):
+        # not np.unique: it imports numpy.ma, about 12 ms per process
+        if not np.all((g == 0) | (g == 1)):
             raise NumericError("gamma entries must be 0 or 1")
         g = g.astype(np.int64)
         if np.any(g.sum(axis=1) > 1):

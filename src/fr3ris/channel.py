@@ -7,9 +7,11 @@ Element spacing therefore never enters; randomness comes from IU placement
 only. On top of that: a ChannelSet forms, once, every IU's MRT beam on
 every link it could use (direct, or through a RIS co-phased for it) and
 keeps the power each beam delivers at every IU; the K x K gain matrix of
-any association is a gather from that table. The table takes one
-(K, M) x (M, N) product per (RIS, served IU): every IU's channel through
-that RIS co-phased for that IU at once.
+any association is a gather from that table. The table stacks, per RIS,
+every IU's channel co-phased for a group of served IUs as the rows of one
+product with a block of the RIS's elements: a few (rows, block) x
+(block, N) products per RIS read its AP -> RIS matrix once per group, not
+once per served IU.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +23,12 @@ from .errors import DimensionError, NumericError
 
 SPEED_OF_LIGHT = 299_792_458.0
 _MIN_DISTANCE = 1e-3
+# Link-table products: served IUs are grouped so that a product has at
+# least about _ROWS rows (group * K), and elements are blocked so that its
+# stacked left operand holds at most about _ENTRIES complex entries (1 MB).
+# Memory then grows with K, not K^2.
+_ROWS = 32
+_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,15 +70,26 @@ class ChannelSet:
         gains = np.empty((l + 1, k, k))
         for i in range(k):
             gains[0, :, i] = _beam_gains(d, i)
+        k1 = max(k, 1)  # K = 0 leaves an empty table
+        group = min(k1, max(1, _ROWS // k1))
+        step = max(1, _ENTRIES // (group * k1))
+        # at least one block, so that M = 0 still gives a zero cascade
+        blocks = [slice(m0, m0 + step) for m0 in range(0, max(m, 1), step)]
         for li in range(l):
-            for s in range(k):
-                through = np.conj(a[li, :, 0]) * r[li, s]
-                phases = np.mod(np.angle(d[s, 0]) - np.angle(through),
-                                2.0 * np.pi)
-                # every IU's channel through RIS li co-phased for s
-                h = d + numerics.matvec_hermitian(
-                    a[li], np.exp(1j * phases) * r[li])
-                gains[li + 1, :, s] = _beam_gains(h, s)
+            lead = _unit(d[:, 0])
+            ap0 = np.conj(a[li, :, 0])
+            for s0 in range(0, k, group):
+                s1 = min(s0 + group, k)
+                # row j*K + i: IU i's cascade through RIS li co-phased for
+                # served IU s0 + j
+                cascade = sum(numerics.matvec_hermitian(
+                    a[li, blk], _cophased(lead[s0:s1], ap0[blk],
+                                          r[li, s0:s1, blk], r[li, :, blk]))
+                    for blk in blocks)
+                h = cascade.reshape(s1 - s0, k, n)
+                h += d
+                for j, s in enumerate(range(s0, s1)):
+                    gains[li + 1, :, s] = _beam_gains(h[j], s)
         gains.setflags(write=False)
         object.__setattr__(self, "link_gains", gains)
 
@@ -151,6 +170,31 @@ def synthesize_channels(topo, cfg):
             ris_iu[j, i, :] = coeff(d_lk[j, i])
     return ChannelSet(direct=direct, ap_ris=ap_ris, ris_iu=ris_iu,
                       carrier_freq_hz=f)
+
+
+def _cophased(lead, ap0, served, every):
+    """Left operand of one link-table product, over a block of elements.
+
+    Row j*K + i is every[i] * turn[j], where turn[j, e] = exp(j(arg lead[j]
+    - arg(ap0[e] served[j, e]))) is the unit coefficient of element e that
+    co-phases served IU j's cascade with its direct channel at antenna 0
+    (lead: unit direct[:, 0] of the served IUs; ap0: conj(ap_ris[l, :, 0])).
+    """
+    turn = lead[:, None] * np.conj(_unit(ap0 * served))
+    return (turn[:, None] * every).reshape(len(turn) * len(every),
+                                           every.shape[1])
+
+
+def _unit(z):
+    """z / |z| elementwise: exp(j angle(z)) without angle or exp. At z = 0
+    it is exp(j angle(z)) itself, so signed zeros keep np.angle's
+    convention."""
+    mag = np.abs(z)
+    zero = mag == 0.0
+    mag[zero] = 1.0
+    out = z / mag
+    out[zero] = np.exp(1j * np.angle(z[zero]))
+    return out
 
 
 def _beam_gains(h, i):

@@ -141,12 +141,13 @@ def sweep(cfg, variable):
     n = cfg.realizations
     schemes = cfg.schemes
     requested = resolve_workers()
-    if requested > (os.cpu_count() or 1):
-        log.warning("FR3_THREADS asks for %d workers on %s cores",
-                    requested, os.cpu_count())
+    cores = os.cpu_count() or 1
+    if requested > cores:
+        log.warning("FR3_THREADS asks for %d workers on %d cores",
+                    requested, cores)
     # a pool forks all its workers at once, so never more than there are
-    # realizations per point; one pool serves every point
-    workers = min(requested, n)
+    # cores or realizations per point; one pool serves every point
+    workers = min(requested, n, cores)
     tasks = [(pcfg, index, schemes) for pcfg in point_cfgs for index in range(n)]
     if workers <= 1:
         results = [_worker(t) for t in tasks]

@@ -49,6 +49,22 @@ def test_association_constraint_validation():
         Association(gamma=np.array([[2, 0], [0, 0]]))
 
 
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_association_rejects_non_binary_entries(bad):
+    with pytest.raises(NumericError, match="0 or 1"):
+        Association(gamma=np.array([[bad, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("gamma", [
+    np.array([[True, False], [False, True]]),
+    np.array([[1.0, 0.0], [0.0, 0.0]]),
+])
+def test_association_accepts_bool_and_float_zero_one(gamma):
+    a = Association(gamma=gamma)
+    assert a.gamma.dtype == np.int64
+    np.testing.assert_array_equal(a.gamma, gamma)
+
+
 def test_association_helpers():
     a = Association.from_pairs([(0, 2), (2, 1)], 3, 3)
     assert a.served_ris(0) == 2

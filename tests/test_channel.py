@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from fr3ris.config import ScenarioConfig
 from fr3ris.errors import DimensionError, NumericError
 from fr3ris.topology import NetworkTopology, sample_topology
 
-from fr3ris import numerics
+from fr3ris import channel, numerics
 from oracles import gain_matrix_oracle
 
 
@@ -250,20 +252,48 @@ def _link_gains_per_vector(ch):
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(1, 5), l=st.integers(0, 3), m=st.integers(1, 6),
        n=st.integers(1, 5), zero_iu=st.booleans(),
+       zero_through=st.sampled_from((None, "ap_ris", "ris_iu")),
+       rows=st.sampled_from((channel._ROWS, 1, 4, 10)),
+       entries=st.sampled_from((channel._ENTRIES, 1, 7, 20)),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(k=3, l=0, m=2, n=3, zero_iu=False, seed=1)  # no surfaces
-@example(k=3, l=2, m=1, n=4, zero_iu=False, seed=2)  # one element
-@example(k=3, l=2, m=4, n=2, zero_iu=True, seed=3)   # zero channel
-def test_link_gains_match_per_vector_definition(k, l, m, n, zero_iu, seed):
+@example(k=3, l=0, m=2, n=3, zero_iu=False, zero_through=None,
+         rows=channel._ROWS, entries=channel._ENTRIES, seed=1)  # no surfaces
+@example(k=3, l=2, m=1, n=4, zero_iu=False, zero_through=None,
+         rows=channel._ROWS, entries=channel._ENTRIES, seed=2)  # one element
+@example(k=3, l=2, m=4, n=2, zero_iu=True, zero_through=None,
+         rows=channel._ROWS, entries=channel._ENTRIES, seed=3)  # zero channel
+# groups of 2, 2, 1 served IUs and element blocks of 2, 2, 1
+@example(k=5, l=2, m=5, n=3, zero_iu=False, zero_through=None,
+         rows=10, entries=20, seed=4)
+# one served IU and one element per product
+@example(k=4, l=1, m=3, n=2, zero_iu=False, zero_through=None,
+         rows=1, entries=1, seed=5)
+# through = 0 at one element: co-phased by np.angle's convention for 0
+@example(k=3, l=2, m=4, n=3, zero_iu=False, zero_through="ap_ris",
+         rows=channel._ROWS, entries=channel._ENTRIES, seed=6)
+@example(k=3, l=2, m=4, n=3, zero_iu=False, zero_through="ris_iu",
+         rows=4, entries=7, seed=7)
+def test_link_gains_match_per_vector_definition(k, l, m, n, zero_iu,
+                                                 zero_through, rows, entries,
+                                                 seed):
     ch = _rand_channelset(np.random.default_rng(seed), k=k, l=l, m=m, n=n)
+    direct, ap_ris, ris_iu = (ch.direct.copy(), ch.ap_ris.copy(),
+                              ch.ris_iu.copy())
     if zero_iu:
         # IU 0 has neither a direct nor a reflected path: its effective
         # channel is zero on every link, so its column is NaN throughout
-        direct, ris_iu = ch.direct.copy(), ch.ris_iu.copy()
         direct[0] = 0.0
         ris_iu[:, 0] = 0.0
-        ch = ChannelSet(direct=direct, ap_ris=ch.ap_ris, ris_iu=ris_iu,
+    if zero_through == "ap_ris":
+        ap_ris[:, -1, 0] = 0.0
+    elif zero_through == "ris_iu":
+        ris_iu[:, -1, -1] = 0.0
+    # small constants split the products into several groups and blocks
+    with mock.patch.object(channel, "_ROWS", rows), \
+            mock.patch.object(channel, "_ENTRIES", entries):
+        ch = ChannelSet(direct=direct, ap_ris=ap_ris, ris_iu=ris_iu,
                         carrier_freq_hz=ch.carrier_freq_hz)
+    if zero_iu:
         assert np.all(np.isnan(ch.link_gains[:, :, 0]))
     ref = _link_gains_per_vector(ch)
     np.testing.assert_array_equal(np.isnan(ch.link_gains), np.isnan(ref))
@@ -271,6 +301,26 @@ def test_link_gains_match_per_vector_definition(k, l, m, n, zero_iu, seed):
     scale = ref[finite].max() if finite.any() else 0.0
     np.testing.assert_allclose(ch.link_gains[finite], ref[finite],
                                rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_link_table_operands_grow_with_k_not_k_squared(monkeypatch):
+    # every product the table makes has a left operand of at most
+    # max(K, _ROWS) rows and _ENTRIES entries, at any K
+    shapes = []
+    matvec = numerics.matvec_hermitian
+
+    def recording(h, x):
+        shapes.append(np.shape(x))
+        return matvec(h, x)
+
+    monkeypatch.setattr(numerics, "matvec_hermitian", recording)
+    k = 12
+    ch = _rand_channelset(np.random.default_rng(9), k=k, l=2, m=20_000, n=2)
+    assert ch.link_gains.shape == (3, k, k)
+    assert shapes
+    for rows, cols in shapes:
+        assert rows <= max(k, channel._ROWS)
+        assert rows * cols <= channel._ENTRIES
 
 
 def test_effective_channel_ignores_unselected_ris():

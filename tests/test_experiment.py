@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -205,6 +208,26 @@ def test_sweep_opens_one_pool_bounded_by_realizations(monkeypatch, caplog):
     monkeypatch.delenv("FR3_THREADS")
     serial = sweep(cfg, "power")
     assert format_csv(pooled) == format_csv(serial)
+    # with more realizations than cores, the cores bound it
+    monkeypatch.setenv("FR3_THREADS", "500")
+    sweep(_cfg(realizations=200, schemes=("random",), ris_elements_y=1,
+               ris_elements_z=1, power_rounds=1, power_sweep_dbm=(10.0,)),
+          "power")
+    assert built == [2, 4]
+
+
+def test_a_realization_does_not_import_numpy_ma(cli_env):
+    # importing numpy.ma costs about 12 ms in every process and pool worker
+    code = ("import sys\n"
+            "from fr3ris.config import ScenarioConfig\n"
+            "from fr3ris.experiment import _run_schemes\n"
+            "cfg = ScenarioConfig()\n"
+            "_run_schemes(cfg, 0, cfg.schemes)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # power sweep CSV of the rank-one line-of-sight channel model; a change to
