@@ -101,8 +101,10 @@ def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter,
                 armijo_c, armijo_beta):
     """Returns (p, iterations, converged). Each iteration backtracks
     along the projection arc of the Newton step until Armijo holds, and
-    takes a projected-gradient Armijo step if it never does. Stops when
-    the unit-step gradient mapping norm is at most tol."""
+    takes a projected-gradient Armijo step if it never does: if the arc
+    falls below _MIN_ARC, or once its Armijo gain is at most the rounding
+    of f (_ROUNDING |f|), past which no shorter arc can meet it. Stops
+    when the unit-step gradient mapping norm is at most tol."""
     p = project_capped_simplex(p0, p_max)
     f_cur = surrogate_value(g, sigma2, rho_col, p)
     d, grad, gm, mu = _stationarity(g, sigma2, rho_col, p, p_max)
@@ -119,14 +121,17 @@ def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter,
         while alpha >= _MIN_ARC:
             q = project_capped_simplex(p + alpha * step, p_max)
             f_new = surrogate_value(g, sigma2, rho_col, q)
-            if f_new >= f_cur + armijo_c * np.dot(grad, q - p):
+            gain = armijo_c * np.dot(grad, q - p)
+            if f_new >= f_cur + gain:
                 break
             # near the optimum the predicted gain is below the rounding
             # of f: take the full step if it shrinks the gradient mapping
             if (alpha == 1.0 and f_new >= f_cur - _ROUNDING * abs(f_cur)
                     and _stationarity(g, sigma2, rho_col, q, p_max)[2] < gm):
                 break
-            alpha *= armijo_beta
+            # a gain below the rounding of f cannot be met on a shorter
+            # arc either: go to the projected-gradient step
+            alpha *= armijo_beta if gain > _ROUNDING * abs(f_cur) else 0.0
         else:
             pg_step /= armijo_beta
             while True:

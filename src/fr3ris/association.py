@@ -16,7 +16,11 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, SizeError
 from .channel import GainMatrix
-from .rate import _check_power, association_sum_rate
+from .rate import _check_power
+
+# Exhaustive scoring gathers at most about this many gains (8 bytes each)
+# per chunk of candidates, so its memory does not grow with their count.
+_GATHER_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -206,20 +210,69 @@ def count_feasible_associations(num_ius, num_riss):
 
 def exhaustive_association(channels, p_star, noise_power_w, cap=100_000):
     """Enumerate every feasible association, scoring each by the full
-    coupled sum rate at p_star. Returns (best association, its sum rate)."""
+    coupled sum rate at p_star. Returns (best association, its sum rate).
+
+    Candidates are scored in one batched gather over the link-gain table,
+    in chunks of at most _GATHER_ENTRIES gathered gains: candidate c's
+    gain matrix is g[c, k, i] = link_gains[link_c[i], k, i], and its sum
+    rate takes rate.sum_rate's arithmetic, so rates and ties are those of
+    scoring each candidate alone. The first best candidate in enumeration
+    order wins. Inputs are checked once, as GainMatrix and sum_rate check
+    them; a candidate that reads a zero effective channel raises for the
+    first such candidate, naming its first such IU.
+    """
     k_count, l_count = channels.num_ius, channels.num_riss
     total = count_feasible_associations(k_count, l_count)
     if total > cap:
         raise SizeError(
             f"{total} feasible associations exceed the cap of {cap}")
-    best_gamma, best_rate = None, -np.inf
+    table = channels.link_gains
+    gm = GainMatrix(g=np.zeros((k_count, k_count)), noise_power=noise_power_w)
+    p = _check_power(gm, p_star)
+    # every table entry is read by some candidate; NaN columns are the
+    # zero channels, reported per candidate below
+    if np.any(np.isinf(table)) or np.any(table < 0.0):
+        raise NumericError("gain entries must be finite and >= 0")
+    zero = np.isnan(table).any(axis=1)  # (L+1, K): link j of IU i
+    users = np.arange(k_count)
+    per_chunk = max(1, _GATHER_ENTRIES // max(1, k_count * k_count))
+    candidates = _candidate_links(k_count, l_count)
+    best_link, best_rate = None, -np.inf
+    while chunk := list(itertools.islice(candidates, per_chunk)):
+        links = np.array(chunk, dtype=np.intp).reshape(len(chunk), k_count)
+        hit = zero[links, users]
+        if hit.any():
+            c = np.flatnonzero(hit.any(axis=1))[0]
+            raise NumericError(
+                f"effective channel of IU {np.flatnonzero(hit[c])[0]} is zero")
+        g = _candidate_gains(table, links)
+        diag = g[:, users, users]
+        interf = g @ p - diag * p + gm.noise_power
+        rates = np.log2(1.0 + p * diag / interf).sum(axis=1)
+        c = int(np.argmax(rates))
+        if rates[c] > best_rate:
+            best_link, best_rate = links[c], rates[c]
+    gamma = np.zeros((k_count, l_count), dtype=np.int64)
+    served = best_link > 0
+    gamma[users[served], best_link[served] - 1] = 1
+    return Association(gamma=gamma), float(best_rate)
+
+
+def _candidate_links(k_count, l_count):
+    """Every feasible association as its link vector, in enumeration
+    order: j served IUs, then combinations of IUs, then permutations of
+    RISs. Entry i is 0 for IU i's direct link and l + 1 for RIS l."""
     for j in range(min(k_count, l_count) + 1):
         for ius in itertools.combinations(range(k_count), j):
-            for riss in itertools.permutations(range(l_count), j):
-                gamma = np.zeros((k_count, l_count), dtype=np.int64)
-                gamma[list(ius), list(riss)] = 1
-                rate = association_sum_rate(channels, gamma, p_star,
-                                            noise_power_w)
-                if rate > best_rate:
-                    best_gamma, best_rate = gamma, rate
-    return Association(gamma=best_gamma), float(best_rate)
+            for riss in itertools.permutations(range(1, l_count + 1), j):
+                link = [0] * k_count
+                for k, l in zip(ius, riss):
+                    link[k] = l
+                yield link
+
+
+def _candidate_gains(table, links):
+    """(C, K, K) gain matrices of C candidates (rows of links) gathered
+    from the link-gain table: g[c, k, i] = table[links[c, i], k, i]."""
+    users = np.arange(links.shape[1])
+    return table[links[:, None, :], users[:, None], users]

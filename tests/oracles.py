@@ -1,10 +1,15 @@
 """Independent brute-force evaluators used only by tests.
 
 Everything here is written from the defining formulas with plain loops or
-dense grids, deliberately sharing no code with the package internals.
+dense grids, deliberately sharing no code with the package internals. The
+two exceptions are former implementations kept as references:
+`armijo_inner_oracle` and `exhaustive_loop_oracle`, which scores through the
+package's own gain gather and sum rate so that its result can be compared
+with `==`.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -225,3 +230,25 @@ def armijo_inner_oracle(g, sigma2, rho_col, p0, p_max, tol, max_iter,
                     break
         p, f_cur = q, f_new
     return p, max_iter, False
+
+
+def exhaustive_loop_oracle(channels, p_star, noise_power_w):
+    """Best association by scoring every feasible one alone, in
+    enumeration order (j served IUs, combinations of IUs, permutations of
+    RISs), through `rate.association_sum_rate`; a later candidate wins
+    only with a strictly larger rate. Returns (gamma, sum rate). The
+    per-candidate reference for `association.exhaustive_association`."""
+    from fr3ris.rate import association_sum_rate
+
+    k_count, l_count = channels.num_ius, channels.num_riss
+    best_gamma, best_rate = None, -np.inf
+    for j in range(min(k_count, l_count) + 1):
+        for ius in itertools.combinations(range(k_count), j):
+            for riss in itertools.permutations(range(l_count), j):
+                gamma = np.zeros((k_count, l_count), dtype=np.int64)
+                gamma[list(ius), list(riss)] = 1
+                rate = association_sum_rate(channels, gamma, p_star,
+                                            noise_power_w)
+                if rate > best_rate:
+                    best_gamma, best_rate = gamma, rate
+    return best_gamma, float(best_rate)

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fr3ris import association, experiment
 from fr3ris.association import (Association, count_feasible_associations,
                                 exhaustive_association, find_blocking_pair,
                                 greedy_association, match_deferred_acceptance,
                                 random_association, utility_matrix)
 from fr3ris.channel import ChannelSet
 from fr3ris.config import ScenarioConfig
-from fr3ris.errors import NumericError, SizeError
+from fr3ris.errors import DimensionError, NumericError, SizeError
 from fr3ris.rate import association_sum_rate
-from fr3ris.topology import NetworkTopology
+from fr3ris.topology import NetworkTopology, sample_topology
 from fr3ris.channel import synthesize_channels
 
-from oracles import blocking_pair_oracle, gain_matrix_oracle, rate_oracle
+from oracles import (blocking_pair_oracle, exhaustive_loop_oracle,
+                     gain_matrix_oracle, rate_oracle)
 
 
 class _PickLast:
@@ -330,6 +332,144 @@ def test_exhaustive_cap():
         exhaustive_association(ch, np.full(3, 0.1), 1e-2, cap=33)
     best, _ = exhaustive_association(ch, np.full(3, 0.1), 1e-2, cap=34)
     assert best is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 5), l=st.integers(0, 4), m=st.integers(1, 4),
+       n=st.integers(1, 4), twin=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(k=4, l=3, m=2, n=3, twin=True, seed=1)  # exact ties
+@example(k=3, l=0, m=2, n=3, twin=False, seed=2)  # no surfaces
+@example(k=5, l=4, m=3, n=4, twin=False, seed=3)  # largest enumeration
+def test_exhaustive_equals_the_per_candidate_loop(k, l, m, n, twin, seed):
+    # twin: surface 1 copies surface 0, so every candidate using one has
+    # an exact tie using the other, and the earlier one must win
+    rng = np.random.default_rng(seed)
+    ch = _rand_channelset(rng, k=k, l=l, m=m, n=n)
+    if twin and l >= 2:
+        ap_ris, ris_iu = ch.ap_ris.copy(), ch.ris_iu.copy()
+        ap_ris[1], ris_iu[1] = ap_ris[0], ris_iu[0]
+        ch = ChannelSet(direct=ch.direct, ap_ris=ap_ris, ris_iu=ris_iu,
+                        carrier_freq_hz=ch.carrier_freq_hz)
+    p = rng.uniform(0.0, 1.0, k)
+    noise = 10.0 ** rng.uniform(-3, 1)
+    best, rate = exhaustive_association(ch, p, noise)
+    gamma, ref = exhaustive_loop_oracle(ch, p, noise)
+    assert rate == ref
+    assert np.array_equal(best.gamma, gamma)
+
+
+def test_exhaustive_equals_the_loop_on_seeded_realizations():
+    # the default point and the element-sweep points, master seed 42,
+    # realizations 0-11, at the uniform split and at a random allocation
+    base = ScenarioConfig(master_seed=42)
+    for cfg in [base] + [experiment._config_for_point(base, "elements", m)
+                         for m in base.element_sweep]:
+        for index in range(12):
+            rng = np.random.default_rng(
+                experiment._realization_seed(cfg, index))
+            ch = synthesize_channels(sample_topology(cfg, rng), cfg)
+            k = cfg.num_ius
+            for p in (np.full(k, cfg.p_max_w / k),
+                      rng.dirichlet(np.ones(k)) * cfg.p_max_w):
+                best, rate = exhaustive_association(ch, p, cfg.noise_power_w)
+                gamma, ref = exhaustive_loop_oracle(ch, p, cfg.noise_power_w)
+                assert rate == ref
+                assert np.array_equal(best.gamma, gamma)
+
+
+@pytest.mark.parametrize("entries", [association._GATHER_ENTRIES, 1])
+def test_exhaustive_tie_goes_to_the_first_candidate(monkeypatch, entries):
+    # one IU, one antenna, two identical surfaces: either surface adds its
+    # co-phased cascade to the direct channel, so both beat the direct
+    # link and tie exactly; RIS 0 comes first. With entries = 1 every
+    # candidate is a chunk of its own.
+    monkeypatch.setattr(association, "_GATHER_ENTRIES", entries)
+    rng = np.random.default_rng(90)
+    ch = _rand_channelset(rng, k=1, l=1, m=3, n=1)
+    ch = ChannelSet(direct=ch.direct, ap_ris=np.repeat(ch.ap_ris, 2, axis=0),
+                    ris_iu=np.repeat(ch.ris_iu, 2, axis=0),
+                    carrier_freq_hz=ch.carrier_freq_hz)
+    p = np.array([0.5])
+    via = [association_sum_rate(ch, [[int(l == s) for l in range(2)]], p, 0.1)
+           for s in range(2)]
+    assert via[0] == via[1] > association_sum_rate(ch, [[0, 0]], p, 0.1)
+    best, rate = exhaustive_association(ch, p, 0.1)
+    assert best.pairs() == [(0, 0)] and rate == via[0]
+
+
+@pytest.mark.parametrize("direct_zero", [False, True])
+def test_exhaustive_zero_channel_names_the_loops_iu(direct_zero):
+    # IU 1's channel through RIS 1 is zero: its direct channel [0, 1]
+    # meets the single element's [0, -1] (nothing to co-phase at antenna
+    # 0, where both are zero). With direct_zero IU 2's direct channel is
+    # zero as well; the all-direct candidate reads it first, so the loop
+    # names IU 2, not the lower IU 1.
+    rng = np.random.default_rng(89)
+    ch = _rand_channelset(rng, k=3, l=2, m=1, n=2)
+    direct, ap_ris = ch.direct.copy(), ch.ap_ris.copy()
+    ris_iu = ch.ris_iu.copy()
+    direct[1] = [0.0, 1.0]
+    ap_ris[1, 0] = [0.0, 1.0]
+    ris_iu[1, 1, 0] = -1.0
+    if direct_zero:
+        direct[2] = 0.0
+    ch = ChannelSet(direct=direct, ap_ris=ap_ris, ris_iu=ris_iu,
+                    carrier_freq_hz=15e9)
+    assert np.isnan(ch.link_gains[2, :, 1]).all()
+    p = np.full(3, 0.2)
+    with pytest.raises(NumericError) as ref:
+        exhaustive_loop_oracle(ch, p, 1e-2)
+    with pytest.raises(NumericError) as got:
+        exhaustive_association(ch, p, 1e-2)
+    named = 2 if direct_zero else 1
+    assert str(ref.value) == f"effective channel of IU {named} is zero"
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("p, noise, error", [
+    (np.full(2, 0.2), 1e-2, DimensionError),
+    (np.full((3, 1), 0.2), 1e-2, DimensionError),
+    (np.array([0.2, -0.1, 0.2]), 1e-2, NumericError),
+    (np.array([0.2, np.nan, 0.2]), 1e-2, NumericError),
+    (np.full(3, 0.2), 0.0, NumericError),
+    (np.full(3, 0.2), np.inf, NumericError),
+])
+def test_exhaustive_rejects_bad_inputs_like_the_loop(p, noise, error):
+    ch = _rand_channelset(np.random.default_rng(91), k=3, l=2)
+    with pytest.raises(error):
+        exhaustive_loop_oracle(ch, p, noise)
+    with pytest.raises(error):
+        exhaustive_association(ch, p, noise)
+
+
+def test_exhaustive_gathers_within_the_chunk_bound(monkeypatch):
+    # K = 60, L = 2: 3 661 candidates of 3 600 gains each, 13 to a chunk
+    # under the patched bound; one unchunked gather would hold 13 million
+    k = 60
+    bound = 13 * k * k
+    monkeypatch.setattr(association, "_GATHER_ENTRIES", bound)
+    shapes = []
+    gather = association._candidate_gains
+
+    def recording(table, links):
+        g = gather(table, links)
+        shapes.append(g.shape)
+        return g
+
+    monkeypatch.setattr(association, "_candidate_gains", recording)
+    rng = np.random.default_rng(92)
+    ch = _rand_channelset(rng, k=k, l=2, m=3, n=3)
+    p = rng.uniform(0.0, 1.0, k)
+    best, rate = exhaustive_association(ch, p, 0.5)
+    assert sum(shape[0] for shape in shapes) == count_feasible_associations(
+        k, 2) == 3661
+    assert all(shape[1:] == (k, k) and np.prod(shape) <= bound
+               for shape in shapes)
+    assert shapes[0][0] == 13 and 0 < shapes[-1][0] < 13
+    gamma, ref = exhaustive_loop_oracle(ch, p, 0.5)
+    assert rate == ref
+    assert np.array_equal(best.gamma, gamma)
 
 
 def test_da_beats_greedy_on_average():
