@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError, SizeError
-from .channel import GainMatrix
+from .channel import GainMatrix, check_binary
 from .rate import _check_power
 
 # Exhaustive scoring gathers at most about this many gains (8 bytes each)
@@ -33,9 +33,7 @@ class Association:
         g = np.asarray(self.gamma)
         if g.ndim != 2:
             raise DimensionError(f"gamma must be 2-d, got shape {g.shape}")
-        # not np.unique: it imports numpy.ma, about 12 ms per process
-        if not np.all((g == 0) | (g == 1)):
-            raise NumericError("gamma entries must be 0 or 1")
+        check_binary(g)
         g = g.astype(np.int64)
         if np.any(g.sum(axis=1) > 1):
             raise NumericError("some IU is associated with multiple RISs")

@@ -4,11 +4,15 @@ Geometry-deterministic line-of-sight model: every coefficient of a link is
 sqrt(pathloss) * exp(-j*omega*d) built from the link's center-to-center
 distance, so all antennas/elements of one link share magnitude and phase.
 Element spacing therefore never enters; randomness comes from IU placement
-only. On top of that: a ChannelSet forms, once, every IU's MRT beam on
-every link it could use (direct, or through a RIS co-phased for it) and
-keeps the power each beam delivers at every IU; the K x K gain matrix of
-any association is a gather from that table. The table stacks, per RIS,
-every IU's channel co-phased for a group of served IUs as the rows of one
+only. The AP and the surfaces never move, so the (L, M, N) AP -> RIS link
+is built, checked finite and frozen once per deployment (_fixed_link):
+every realization of a sweep point shares it.
+
+On top of that: a ChannelSet forms, once, every IU's MRT beam on every
+link it could use (direct, or through a RIS co-phased for it) and keeps
+the power each beam delivers at every IU; the K x K gain matrix of any
+association is a gather from that table. The table stacks, per RIS, every
+IU's channel co-phased for a group of served IUs as the rows of one
 product with a block of the RIS's elements: a few (rows, block) x
 (block, N) products per RIS read its AP -> RIS matrix once per group, not
 once per served IU.
@@ -29,6 +33,10 @@ _MIN_DISTANCE = 1e-3
 # Memory then grows with K, not K^2.
 _ROWS = 32
 _ENTRIES = 1 << 16
+
+# (key, link) of the last AP -> RIS link built in this process; see
+# _fixed_link. One entry, so a sweep holds one point's link at a time.
+_link = (None, None)
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,8 @@ class ChannelSet:
         if r.shape != (l, k, m):
             raise DimensionError(f"ris_iu must be ({l}, {k}, {m}), got {r.shape}")
         for name, arr in (("direct", d), ("ap_ris", a), ("ris_iu", r)):
-            if not np.all(np.isfinite(arr)):
+            # the fixed AP -> RIS link was checked when it was built
+            if arr is not _link[1] and not _all_finite(arr):
                 raise NumericError(f"{name} contains non-finite entries")
         for name, arr in (("direct", d), ("ap_ris", a), ("ris_iu", r)):
             arr.setflags(write=False)
@@ -150,26 +159,59 @@ def synthesize_channels(topo, cfg):
     """Build the ChannelSet for one topology under the scenario config."""
     f = cfg.carrier_freq_hz
     alpha = cfg.pathloss_exponent
-    omega = 2.0 * np.pi * f / SPEED_OF_LIGHT
     n, m = cfg.num_antennas, cfg.num_elements
     k, l = topo.num_ius, topo.num_riss
-
-    def coeff(d):
-        return np.sqrt(pathloss(d, f, alpha)) * np.exp(-1j * omega * d)
-
     direct = np.empty((k, n), dtype=np.complex128)
     for i, d in enumerate(topo.ap_iu_distances()):
-        direct[i, :] = coeff(d)
-    ap_ris = np.empty((l, m, n), dtype=np.complex128)
-    for j, d in enumerate(topo.ap_ris_distances()):
-        ap_ris[j, :, :] = coeff(d)
+        direct[i, :] = _coefficient(d, f, alpha)
+    ap_ris = _fixed_link(topo, f, alpha, m, n)
     ris_iu = np.empty((l, k, m), dtype=np.complex128)
     d_lk = topo.ris_iu_distances()
     for j in range(l):
         for i in range(k):
-            ris_iu[j, i, :] = coeff(d_lk[j, i])
+            ris_iu[j, i, :] = _coefficient(d_lk[j, i], f, alpha)
     return ChannelSet(direct=direct, ap_ris=ap_ris, ris_iu=ris_iu,
                       carrier_freq_hz=f)
+
+
+def _coefficient(d, f, alpha):
+    """sqrt(pathloss) * exp(-j omega d) of a link d meters long."""
+    omega = 2.0 * np.pi * f / SPEED_OF_LIGHT
+    return np.sqrt(pathloss(d, f, alpha)) * np.exp(-1j * omega * d)
+
+
+def _fixed_link(topo, f, alpha, m, n):
+    """The (L, M, N) AP -> RIS link of topo's AP and surfaces, read-only.
+
+    The key is every value the link is built from and nothing else, so
+    every point of a power sweep (or a user-count sweep) shares one link
+    per process. The previous link is released before the next one is
+    built. A link with non-finite entries is returned unkept, for
+    ChannelSet to reject.
+    """
+    global _link
+    key = (tuple(topo.ap.tolist()), tuple(map(tuple, topo.riss.tolist())),
+           f, alpha, m, n)
+    if _link[0] == key:
+        return _link[1]
+    _link = (None, None)
+    link = _build_link(topo, f, alpha, m, n)
+    if not _all_finite(link):
+        return link
+    link.setflags(write=False)
+    _link = (key, link)
+    return link
+
+
+def _build_link(topo, f, alpha, m, n):
+    link = np.empty((topo.num_riss, m, n), dtype=np.complex128)
+    for j, d in enumerate(topo.ap_ris_distances()):
+        link[j, :, :] = _coefficient(d, f, alpha)
+    return link
+
+
+def _all_finite(arr):
+    return bool(np.all(np.isfinite(arr)))
 
 
 def _cophased(lead, ap0, served, every):
@@ -206,6 +248,14 @@ def _beam_gains(h, i):
     return inner.real ** 2 + inner.imag ** 2
 
 
+def check_binary(gamma):
+    """Raise unless every entry of gamma is 0 or 1; bool and float 0/1
+    pass."""
+    # not np.unique: it imports numpy.ma, about 12 ms per process
+    if not np.all((gamma == 0) | (gamma == 1)):
+        raise NumericError("gamma entries must be 0 or 1")
+
+
 def gains_for_association(channels, assoc, noise_power_w):
     """K x K gain matrix of one association (an Association or a raw binary
     K x L gamma). Entry (k, i) is |<h, w_i>|^2 with h IU k's channel through
@@ -217,6 +267,7 @@ def gains_for_association(channels, assoc, noise_power_w):
         raise DimensionError(
             f"association matrix {gamma.shape} does not match "
             f"(K, L) = ({k_count}, {l_count})")
+    check_binary(gamma)
     served = gamma != 0
     if np.any(served.sum(axis=1) > 1) or np.any(served.sum(axis=0) > 1):
         raise DimensionError(

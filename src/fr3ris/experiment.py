@@ -92,13 +92,13 @@ def _run_schemes(cfg, index, schemes):
         p = p_star
         u = u_star
         assoc = _associate(scheme, channels, u, p, cfg, scheme_rng)
+        gm = gains_for_association(channels, assoc, noise)
         for round_idx in range(2, cfg.power_rounds + 1):
-            gm = gains_for_association(channels, assoc, noise)
             p, _ = sca_power_for_config(gm, cfg, init=p)
             if round_idx < cfg.power_rounds:
                 u = utility_matrix(channels, p, noise)
                 assoc = _associate(scheme, channels, u, p, cfg, scheme_rng)
-        gm = gains_for_association(channels, assoc, noise)
+                gm = gains_for_association(channels, assoc, noise)
         out[scheme] = sum_rate(gm, p).sum_rate
     return out
 

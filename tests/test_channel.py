@@ -1,3 +1,5 @@
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ from fr3ris.channel import (ChannelSet, GainMatrix, SPEED_OF_LIGHT,
                             synthesize_channels)
 from fr3ris.config import ScenarioConfig
 from fr3ris.errors import DimensionError, NumericError
+from fr3ris.rate import association_sum_rate
 from fr3ris.topology import NetworkTopology, sample_topology
 
 from fr3ris import channel, numerics
@@ -195,6 +198,95 @@ def test_channel_arrays_are_read_only():
     for arr in (ch.direct, ch.ap_ris, ch.ris_iu, ch.link_gains):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+
+
+# -- the fixed AP -> RIS link -------------------------------------------------
+
+@pytest.fixture
+def no_link(monkeypatch):
+    # start from an empty link cache; the link kept before is put back after
+    monkeypatch.setattr(channel, "_link", (None, None))
+
+
+def _link_formula(topo, cfg):
+    # element by element: every antenna-element pair of AP -> RIS link l
+    # carries the coefficient of the AP-RIS l center distance
+    f, alpha = cfg.carrier_freq_hz, cfg.pathloss_exponent
+    omega = 2.0 * np.pi * f / SPEED_OF_LIGHT
+    out = np.empty((topo.num_riss, cfg.num_elements, cfg.num_antennas),
+                   dtype=complex)
+    for l, d in enumerate(topo.ap_ris_distances()):
+        for m in range(cfg.num_elements):
+            for n in range(cfg.num_antennas):
+                out[l, m, n] = (np.sqrt(pathloss(d, f, alpha))
+                                * np.exp(-1j * omega * d))
+    return out
+
+
+def test_topologies_of_one_point_share_one_read_only_link(no_link):
+    cfg = ScenarioConfig(num_antennas=3, num_ius=2, num_riss=2,
+                         ris_elements_y=2, ris_elements_z=3)
+    rng = np.random.default_rng(5)
+    first = synthesize_channels(sample_topology(cfg, rng), cfg)
+    second = synthesize_channels(sample_topology(cfg, rng), cfg)
+    assert not np.array_equal(first.direct, second.direct)
+    assert second.ap_ris is first.ap_ris
+    assert not first.ap_ris.flags.writeable
+    # a change to any input of the link rebuilds it from the formula
+    topo = sample_topology(cfg, rng)
+    ap, riss = topo.ap.copy(), topo.riss.copy()
+    ap[0] += 0.5
+    riss[1, 0] += 0.5
+    for t, c in ((NetworkTopology(ap=topo.ap, riss=riss, ius=topo.ius), cfg),
+                 (NetworkTopology(ap=ap, riss=topo.riss, ius=topo.ius), cfg),
+                 (topo, cfg.with_updates(carrier_freq_hz=10e9)),
+                 (topo, cfg.with_updates(pathloss_exponent=2.5)),
+                 (topo, cfg.with_updates(ris_elements_y=3)),
+                 (topo, cfg.with_updates(num_antennas=5))):
+        kept = synthesize_channels(topo, cfg).ap_ris
+        np.testing.assert_array_equal(kept, _link_formula(topo, cfg))
+        rebuilt = synthesize_channels(t, c).ap_ris
+        assert rebuilt is not kept and not rebuilt.flags.writeable
+        np.testing.assert_array_equal(rebuilt, _link_formula(t, c))
+
+
+def test_non_finite_link_is_rejected_however_it_is_made(no_link, monkeypatch):
+    topo, cfg, ch = _physical_channelset(k=2, l=2)
+    assert ch.ap_ris is channel._link[1]
+    # the kept link itself passes, unscanned
+    ChannelSet(direct=ch.direct, ap_ris=ch.ap_ris, ris_iu=ch.ris_iu,
+               carrier_freq_hz=ch.carrier_freq_hz)
+    for bad in (np.nan, np.inf):
+        ap_ris = ch.ap_ris.copy()  # a writable copy of the kept link
+        ap_ris[1, 0, 0] = bad
+        with pytest.raises(NumericError,
+                           match="ap_ris contains non-finite entries"):
+            ChannelSet(direct=ch.direct, ap_ris=ap_ris, ris_iu=ch.ris_iu,
+                       carrier_freq_hz=ch.carrier_freq_hz)
+    # a built link with a non-finite entry fails the same way and is not kept
+    build = channel._build_link
+
+    def broken(*args):
+        link = build(*args)
+        link[0, 0, 0] = np.nan
+        return link
+
+    monkeypatch.setattr(channel, "_link", (None, None))
+    monkeypatch.setattr(channel, "_build_link", broken)
+    with pytest.raises(NumericError, match="ap_ris contains non-finite entries"):
+        synthesize_channels(topo, cfg)
+    assert channel._link == (None, None)
+
+
+def test_a_changed_key_releases_the_old_link(no_link):
+    topo, cfg, ch = _physical_channelset(k=1, l=2)
+    old = weakref.ref(ch.ap_ris)
+    del ch
+    gc.collect()
+    assert old() is not None  # still kept for the next realization
+    synthesize_channels(topo, cfg.with_updates(num_antennas=5))
+    gc.collect()
+    assert old() is None
 
 
 # -- effective channel ------------------------------------------------------
@@ -413,6 +505,25 @@ def test_orthogonal_channels_give_zero_cross_gain():
     assert gm.g[0, 1] == pytest.approx(0.0, abs=1e-15)
     assert gm.g[1, 0] == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(np.diag(gm.g), 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.5, -1, np.nan, 2])
+def test_gains_reject_non_binary_entries(bad):
+    ch = _rand_channelset(np.random.default_rng(57), k=2, l=1)
+    gamma = np.array([[bad], [0.0]])
+    with pytest.raises(NumericError, match="gamma entries must be 0 or 1"):
+        gains_for_association(ch, gamma, 1e-11)
+    with pytest.raises(NumericError, match="gamma entries must be 0 or 1"):
+        association_sum_rate(ch, gamma, np.ones(2), 1e-11)
+
+
+@pytest.mark.parametrize("gamma", [np.array([[True], [False]]),
+                                   np.array([[1.0], [0.0]])])
+def test_gains_accept_bool_and_float_zero_one(gamma):
+    ch = _rand_channelset(np.random.default_rng(57), k=2, l=1)
+    np.testing.assert_array_equal(
+        gains_for_association(ch, gamma, 1e-11).g,
+        gains_for_association(ch, np.array([[1], [0]]), 1e-11).g)
 
 
 def test_gain_matrix_matches_from_scratch_oracle():

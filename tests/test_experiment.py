@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from fr3ris import _kernels, experiment
+from fr3ris import _kernels, channel, experiment
 from fr3ris.config import ScenarioConfig
 from fr3ris.errors import ConfigError
 from fr3ris.experiment import (SweepResult, emit_csv, format_csv,
@@ -176,6 +176,52 @@ def test_parallel_sweep_matches_serial(monkeypatch):
     parallel = sweep(cfg, "power")
     assert np.array_equal(serial.mean, parallel.mean)
     assert np.array_equal(serial.stderr, parallel.stderr)
+
+
+def test_a_power_sweep_builds_and_scans_the_link_once(monkeypatch):
+    # the AP -> RIS link depends on no sweep variable but the deployment's:
+    # 15 realizations over 5 power points build it, and scan it, once
+    monkeypatch.setattr(channel, "_link", (None, None))
+    monkeypatch.delenv("FR3_THREADS", raising=False)
+    built, scanned = [], []
+    build, scan = channel._build_link, channel._all_finite
+
+    def building(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def scanning(arr):
+        scanned.append(arr)
+        return scan(arr)
+
+    monkeypatch.setattr(channel, "_build_link", building)
+    monkeypatch.setattr(channel, "_all_finite", scanning)
+    cfg = _cfg(schemes=("matching", "random"),
+               power_sweep_dbm=(10.0, 13.0, 16.0, 19.0, 23.0))
+    sweep(cfg, "power")
+    assert len(built) == 1
+    assert sum(arr is built[0] for arr in scanned) == 1
+    # besides the link, each realization scans its direct and RIS -> IU
+    # channels
+    assert len(scanned) == 1 + 2 * 5 * cfg.realizations
+
+
+@pytest.mark.parametrize("rounds, calls", [(1, 5), (2, 5), (3, 9)])
+def test_each_association_gets_one_gain_matrix(monkeypatch, rounds, calls):
+    # the seed association's, then one per association each scheme makes;
+    # the last power round's matrix is the final rate's
+    count = []
+    gains = experiment.gains_for_association
+
+    def counting(*args):
+        count.append(1)
+        return gains(*args)
+
+    monkeypatch.setattr(experiment, "gains_for_association", counting)
+    cfg = _cfg(power_rounds=rounds)
+    _run_schemes(cfg, 0, cfg.schemes)
+    assert len(cfg.schemes) == 4
+    assert len(count) == calls
 
 
 def test_sweep_opens_one_pool_bounded_by_realizations(monkeypatch, caplog):
