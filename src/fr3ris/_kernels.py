@@ -1,8 +1,9 @@
 """Inner solver of the SCA power surrogate and the projection it uses.
 
-`solve_inner` reaches `project_capped_simplex` and `surrogate_value`
-through module globals, so wrapping either name here wraps every call
-the solver makes.
+The caller sets only the stop rule (`tol`, `max_iter`); the Armijo
+constants and the other step rules are module constants. `solve_inner`
+reaches `project_capped_simplex` and `surrogate_value` through module
+globals, so wrapping either name here wraps every call the solver makes.
 """
 
 import numpy as np
@@ -41,6 +42,8 @@ def project_capped_simplex(y, p_max):
 # damped by _DAMP times its largest diagonal entry (times 1 if that is 0).
 # ---------------------------------------------------------------------------
 
+ARMIJO_C = 1e-4
+ARMIJO_BETA = 0.5
 _DAMP = 1e-12
 # a Newton point whose f drop is within this share of |f| is rounding
 _ROUNDING = 1e-15
@@ -97,8 +100,7 @@ def _newton_step(g, d, grad, mu, p, p_max):
     return step
 
 
-def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter,
-                armijo_c, armijo_beta):
+def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter):
     """Returns (p, iterations, converged). Each iteration backtracks
     along the projection arc of the Newton step until Armijo holds, and
     takes a projected-gradient Armijo step if it never does: if the arc
@@ -121,7 +123,7 @@ def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter,
         while alpha >= _MIN_ARC:
             q = project_capped_simplex(p + alpha * step, p_max)
             f_new = surrogate_value(g, sigma2, rho_col, q)
-            gain = armijo_c * np.dot(grad, q - p)
+            gain = ARMIJO_C * np.dot(grad, q - p)
             if f_new >= f_cur + gain:
                 break
             # near the optimum the predicted gain is below the rounding
@@ -131,15 +133,15 @@ def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter,
                 break
             # a gain below the rounding of f cannot be met on a shorter
             # arc either: go to the projected-gradient step
-            alpha *= armijo_beta if gain > _ROUNDING * abs(f_cur) else 0.0
+            alpha *= ARMIJO_BETA if gain > _ROUNDING * abs(f_cur) else 0.0
         else:
-            pg_step /= armijo_beta
+            pg_step /= ARMIJO_BETA
             while True:
                 q = project_capped_simplex(p + pg_step * grad, p_max)
                 f_new = surrogate_value(g, sigma2, rho_col, q)
-                if f_new >= f_cur + armijo_c * np.dot(grad, q - p):
+                if f_new >= f_cur + ARMIJO_C * np.dot(grad, q - p):
                     break
-                pg_step *= armijo_beta
+                pg_step *= ARMIJO_BETA
                 if pg_step < 1e-20:
                     return p, n_iter, False
         p, f_cur = q, f_new

@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields, replace
 from .errors import ConfigError
 
 SCHEME_NAMES = ("matching", "greedy", "random", "exhaustive")
-RHO_VARIANTS = ("derivative", "log-denominator")
 
 
 def dbm_to_watt(dbm):
@@ -81,7 +80,6 @@ class ScenarioConfig:
     iu_height_m: float = 1.5
     min_ap_iu_separation_m: float = 1.0
     pathloss_exponent: float = 2.0
-    rho_variant: str = "derivative"
     power_rounds: int = 2
     exhaustive_cap: int = 100_000
     schemes: tuple = SCHEME_NAMES
@@ -89,6 +87,9 @@ class ScenarioConfig:
     master_seed: int = 42
     power_sweep_dbm: tuple = (10.0, 13.0, 16.0, 19.0, 23.0)
     element_sweep: tuple = (100, 625, 2500)
+    # not a field and not settable: perfbench/verify.py reads it to decide
+    # whether an SCA trace must be non-decreasing, which it always must
+    rho_variant = "derivative"
 
     def __post_init__(self):
         for field, (key, _, scale, bounds) in _RANGES.items():
@@ -100,9 +101,6 @@ class ScenarioConfig:
         if not 0.0 < self.p_max_w < math.inf:
             raise ConfigError(f"p_max_dbm: budget of {self.p_max_w} W out "
                               "of range, must be positive and finite")
-        if self.rho_variant not in RHO_VARIANTS:
-            raise ConfigError(f"rho_variant: {self.rho_variant!r} not one of "
-                              f"{', '.join(RHO_VARIANTS)}")
         for key in ("schemes", "power_sweep_dbm", "element_sweep"):
             values = tuple(getattr(self, key))
             object.__setattr__(self, key, values)
@@ -190,8 +188,6 @@ def _apply_key(out, key, raw):
     elif key == "p_max_dbm":
         out["p_max_w"] = dbm_to_watt(
             _parse_number(_strip_unit(raw, "dbm"), key, float))
-    elif key == "rho_variant":
-        out[key] = raw
     elif key == "schemes":
         out[key] = tuple(_split(raw))
     elif key == "power_sweep_dbm":

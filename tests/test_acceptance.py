@@ -142,7 +142,7 @@ def test_criterion_04_inner_solver_matches_grid(capsys):
         p_max = float(rng.uniform(0.8, 1.5))
         p_t = random_feasible_points(rng, 1, k, p_max)[0]
         rho = surrogate_gradient(gm, p_t)
-        p = solve_inner(gm, p_t, p_max)
+        p, _, _ = solve_inner(gm, p_t, p_max)
         achieved = surrogate_objective(gm, p, rho)
         best = grid_max(
             lambda pts: surrogate_batch(gm.g, gm.noise_power, rho, pts),

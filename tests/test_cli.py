@@ -138,10 +138,14 @@ def test_version_flag():
     assert err.value.code == 0
 
 
-def test_bad_config_key_exits_2(tmp_path):
+def test_bad_config_key_exits_2(tmp_path, caplog):
     path = tmp_path / "bad.cfg"
-    path.write_text("num_ius = 2\nwarp_factor = 9\n")
-    assert cli.main(["validate-config", "--config", str(path)]) == 2
+    for line in ("warp_factor = 9", "rho_variant = derivative"):
+        path.write_text(f"num_ius = 2\n{line}\n")
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="fr3ris"):
+            assert cli.main(["validate-config", "--config", str(path)]) == 2
+        assert f"unknown config key: {line.split()[0]}" in caplog.text
 
 
 def test_bad_scheme_name_exits_2(tiny_cfg, tmp_path):

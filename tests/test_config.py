@@ -55,8 +55,12 @@ def test_comments_blanks_and_overrides():
 
 
 def test_unknown_key_is_named_in_error():
-    with pytest.raises(ConfigError, match="no_such_key"):
-        parse_config("no_such_key = 1")
+    # ScenarioConfig.rho_variant is a class constant, not a key
+    for key in ("no_such_key", "rho_variant"):
+        with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+            parse_config(f"{key} = derivative")
+        with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+            parse_config("", [(key, "derivative")])
 
 
 def test_out_of_range_values_name_key_and_bounds():
@@ -90,12 +94,6 @@ def test_scheme_list_validation():
         parse_config("schemes = ")
 
 
-def test_rho_variant_validation():
-    assert parse_config("rho_variant = log-denominator").rho_variant == "log-denominator"
-    with pytest.raises(ConfigError, match="rho_variant"):
-        parse_config("rho_variant = newton")
-
-
 def test_sweep_lists_must_increase():
     cfg = parse_config("power_sweep_dbm = 0, 5, 10")
     assert cfg.power_sweep_dbm == (0.0, 5.0, 10.0)
@@ -119,6 +117,7 @@ def test_format_config_lists_every_field_and_derived_values():
     assert "master_seed = 42" in text
     # the log round-trips through the parser's key set for plain fields
     assert "num_ius = 5" in text
+    assert "rho_variant" not in text
 
 
 def test_overrides_apply_after_the_file_without_tripping_duplicates():
@@ -136,7 +135,6 @@ def test_direct_construction_runs_the_same_checks():
     assert cfg.element_sweep == (4, 16)
     for bad, match in ((dict(schemes=("greedy", "greedy")), "duplicate"),
                        (dict(schemes=()), "schemes.*at least one"),
-                       (dict(rho_variant="newton"), "rho_variant"),
                        (dict(carrier_freq_hz=0.0), "carrier_freq_ghz.*> 0"),
                        (dict(p_max_w=math.nan), "p_max_dbm"),
                        (dict(p_max_w=0.0), "p_max_dbm"),
@@ -144,6 +142,8 @@ def test_direct_construction_runs_the_same_checks():
                         "min_ap_iu_separation_m")):
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig(**bad)
+    with pytest.raises(TypeError, match="rho_variant"):
+        ScenarioConfig().with_updates(rho_variant="derivative")
     for text in ("nan", "4000"):
         with pytest.raises(ConfigError, match="p_max_dbm"):
             parse_config(f"p_max_dbm = {text}")
@@ -167,7 +167,6 @@ ris_height_m = 4.5
 iu_height_m = 1.2
 min_ap_iu_separation_m = 2.5
 pathloss_exponent = 2.7
-rho_variant = log-denominator
 power_rounds = 3
 exhaustive_cap = 5000
 schemes = exhaustive, random

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from fr3ris import _kernels
 from fr3ris.channel import GainMatrix
 from fr3ris.errors import NumericError
-from fr3ris.power_sca import (ARMIJO_BETA, ARMIJO_C, sca_power, solve_inner,
+from fr3ris._kernels import ARMIJO_BETA, ARMIJO_C
+from fr3ris.power_sca import (INNER_MAX, INNER_TOL, sca_power, solve_inner,
                               surrogate_gradient, surrogate_objective,
                               surrogate_rate_bound)
 from fr3ris.rate import sum_rate
@@ -70,17 +71,6 @@ def test_surrogate_gradient_matches_finite_differences():
                 assert rho[kk, i] == pytest.approx(fd, rel=1e-5)
 
 
-def test_log_denominator_variant_is_different_and_not_a_derivative():
-    gm = GainMatrix(g=np.array([[1.0, 2.0], [0.5, 1.0]]),
-                    noise_power=np.array([2.0, 2.0]))
-    p_t = np.array([0.7, 1.0])
-    a = surrogate_gradient(gm, p_t, variant="derivative")
-    b = surrogate_gradient(gm, p_t, variant="log-denominator")
-    assert not np.allclose(a, b)
-    with pytest.raises(ValueError):
-        surrogate_gradient(gm, p_t, variant="quadrature")
-
-
 def test_surrogate_objective_matches_direct_formula():
     rng = np.random.default_rng(71)
     for _ in range(20):
@@ -125,13 +115,15 @@ def test_minorant_bound_and_tightness():
 
 def test_solve_inner_single_iu_saturates_budget():
     gm = GainMatrix(g=np.array([[2.0]]), noise_power=0.5)
-    p = solve_inner(gm, np.array([0.1]), 1.7)
+    p, n_iter, converged = solve_inner(gm, np.array([0.1]), 1.7)
+    assert converged and n_iter >= 1
     assert p[0] == pytest.approx(1.7, abs=1e-8)
 
 
 def test_solve_inner_symmetric_instance_stays_symmetric():
     gm = GainMatrix(g=np.array([[2.0, 0.4], [0.4, 2.0]]), noise_power=0.3)
-    p = solve_inner(gm, np.array([0.5, 0.5]), 1.0)
+    p, _, converged = solve_inner(gm, np.array([0.5, 0.5]), 1.0)
+    assert converged
     assert p[0] == pytest.approx(p[1], abs=1e-8)
     assert p.sum() <= 1.0 + 1e-12
 
@@ -144,7 +136,7 @@ def test_solve_inner_never_worse_than_expansion_point():
         p_max = float(rng.uniform(0.5, 2.0))
         p_t = random_feasible_points(rng, 1, k, p_max)[0]
         rho = surrogate_gradient(gm, p_t)
-        p = solve_inner(gm, p_t, p_max)
+        p, _, _ = solve_inner(gm, p_t, p_max)
         assert np.all(p >= 0.0) and p.sum() <= p_max + 1e-9
         assert (surrogate_objective(gm, p, rho)
                 >= surrogate_objective(gm, p_t, rho) - 1e-12)
@@ -158,7 +150,7 @@ def test_solve_inner_matches_grid_search():
         p_max = float(rng.uniform(0.8, 1.5))
         p_t = random_feasible_points(rng, 1, k, p_max)[0]
         rho = surrogate_gradient(gm, p_t)
-        p = solve_inner(gm, p_t, p_max)
+        p, _, _ = solve_inner(gm, p_t, p_max)
         got = surrogate_objective(gm, p, rho)
         ref = grid_max(
             lambda pts: surrogate_batch(gm.g, gm.noise_power, rho, pts),
@@ -184,8 +176,8 @@ def test_newton_inner_solver_matches_armijo_oracle(k, rank_one, log_snr,
     p_max = float(rng.uniform(0.1, 2.0))
     p_t = random_feasible_points(rng, 1, k, p_max)[0]
     rho_col = surrogate_gradient(gm, p_t).sum(axis=0)
-    args = (gm.g, gm.noise_power, rho_col, p_t, p_max, 1e-8, 500)
-    p, _, converged = _kernels.solve_inner(*args, ARMIJO_C, ARMIJO_BETA)
+    args = (gm.g, gm.noise_power, rho_col, p_t, p_max, INNER_TOL, INNER_MAX)
+    p, _, converged = _kernels.solve_inner(*args)
     ref, _, _ = armijo_inner_oracle(*args, ARMIJO_C, ARMIJO_BETA)
     assert converged
     # the projection's threshold leaves the sum within rounding of p_max
@@ -239,7 +231,7 @@ def test_sca_feasibility_of_every_outer_iterate():
     p_max = 1.0
     p = np.full(3, p_max / 3)
     for _ in range(10):
-        p = solve_inner(gm, p, p_max)
+        p, _, _ = solve_inner(gm, p, p_max)
         assert np.all(p >= 0.0)
         assert p.sum() <= p_max + 1e-12
 
@@ -250,3 +242,12 @@ def test_sca_rejects_infeasible_start():
         sca_power(gm, 1.0, init=np.array([0.8, 0.8]))
     with pytest.raises(NumericError):
         solve_inner(gm, np.array([0.1, 0.1]), -1.0)
+
+
+@pytest.mark.parametrize("init", [None, np.array([0.1, 0.1])],
+                         ids=["uniform", "init"])
+@pytest.mark.parametrize("p_max", [0.0, -1.0, np.nan, np.inf])
+def test_sca_rejects_bad_budget_as_a_budget(p_max, init):
+    gm = GainMatrix(g=np.eye(2), noise_power=1.0)
+    with pytest.raises(NumericError, match="p_max must be positive"):
+        sca_power(gm, p_max, init=init)
