@@ -43,10 +43,6 @@ class Association:
         g.setflags(write=False)
 
     @classmethod
-    def empty(cls, num_ius, num_riss):
-        return cls(gamma=np.zeros((num_ius, num_riss), dtype=np.int64))
-
-    @classmethod
     def from_pairs(cls, pairs, num_ius, num_riss):
         g = np.zeros((num_ius, num_riss), dtype=np.int64)
         for k, l in pairs:
@@ -60,11 +56,6 @@ class Association:
     @property
     def num_riss(self):
         return self.gamma.shape[1]
-
-    def served_ris(self, k):
-        """Index of the RIS serving IU k, or -1."""
-        hits = np.flatnonzero(self.gamma[k])
-        return int(hits[0]) if hits.size else -1
 
     def pairs(self):
         return [(int(k), int(l)) for k, l in zip(*np.nonzero(self.gamma))]
@@ -139,27 +130,6 @@ def match_deferred_acceptance(u):
         # list exhausted: IU stays on its direct link
     pairs = [(k, l) for l, k in enumerate(holder) if k >= 0]
     return Association.from_pairs(pairs, k_count, l_count)
-
-
-def find_blocking_pair(u, assoc):
-    """First (k, l) that would defect together under u, or None if stable."""
-    u = _check_utilities(u)
-    k_count, l_count = u.shape
-    matched_u = np.zeros(k_count)
-    holder = [-1] * l_count
-    for k, l in assoc.pairs():
-        matched_u[k] = u[k, l]
-        holder[l] = k
-    for k in range(k_count):
-        for l in range(l_count):
-            if u[k, l] <= 0.0 or assoc.gamma[k, l]:
-                continue
-            if u[k, l] <= matched_u[k]:
-                continue
-            cur = holder[l]
-            if cur < 0 or u[k, l] > u[cur, l]:
-                return (k, l)
-    return None
 
 
 def greedy_association(u, rng):

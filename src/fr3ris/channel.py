@@ -4,9 +4,12 @@ Geometry-deterministic line-of-sight model: every coefficient of a link is
 sqrt(pathloss) * exp(-j*omega*d) built from the link's center-to-center
 distance, so all antennas/elements of one link share magnitude and phase.
 Element spacing therefore never enters; randomness comes from IU placement
-only. The AP and the surfaces never move, so the (L, M, N) AP -> RIS link
+only. The AP and the surfaces never move, so the AP -> RIS (feeder) link
 is built, checked finite and frozen once per deployment (_fixed_link):
-every realization of a sweep point shares it.
+every realization of a sweep point shares it. It is kept as its factor
+A_l = U_l W_l, U_l (M, r) and W_l (r, N); under this model r = 1, with
+U_l = c_l 1_M and W_l = 1_N^T. ChannelSet.ap_ris is then a read-only
+zero-stride (L, M, N) view of the coefficients, which costs no memory.
 
 On top of that: a ChannelSet forms, once, every IU's MRT beam on every
 link it could use (direct, or through a RIS co-phased for it) and keeps
@@ -14,8 +17,10 @@ the power each beam delivers at every IU; the K x K gain matrix of any
 association is a gather from that table. The table stacks, per RIS, every
 IU's channel co-phased for a group of served IUs as the rows of one
 product with a block of the RIS's elements: a few (rows, block) x
-(block, N) products per RIS read its AP -> RIS matrix once per group, not
-once per served IU.
+(block, r) products with U_l per group, then one (rows, r) x (r, N)
+product with W_l. A dense link given by the caller is its own factor
+(U_l = A_l, no W_l). Every product's left operand is written into one
+buffer allocated per table build.
 """
 
 from dataclasses import dataclass, field
@@ -34,9 +39,9 @@ _MIN_DISTANCE = 1e-3
 _ROWS = 32
 _ENTRIES = 1 << 16
 
-# (key, link) of the last AP -> RIS link built in this process; see
-# _fixed_link. One entry, so a sweep holds one point's link at a time.
-_link = (None, None)
+# (key, link, factor) of the last AP -> RIS link built in this process;
+# see _fixed_link. One entry, so a sweep holds one point's link at a time.
+_link = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -84,17 +89,23 @@ class ChannelSet:
         step = max(1, _ENTRIES // (group * k1))
         # at least one block, so that M = 0 still gives a zero cascade
         blocks = [slice(m0, m0 + step) for m0 in range(0, max(m, 1), step)]
+        buf = np.empty(group * k * min(step, m), dtype=np.complex128)
+        # A_l = U_l W_l: the kept link's factor, or a given link as itself
+        us, ws = _link[2] if a is _link[1] else (a, None)
         for li in range(l):
+            u, w = us[li], None if ws is None else ws[li]
             lead = _unit(d[:, 0])
-            ap0 = np.conj(a[li, :, 0])
+            ap0 = np.conj(u[:, 0] if w is None else u @ w[:, 0])
             for s0 in range(0, k, group):
                 s1 = min(s0 + group, k)
                 # row j*K + i: IU i's cascade through RIS li co-phased for
                 # served IU s0 + j
                 cascade = sum(numerics.matvec_hermitian(
-                    a[li, blk], _cophased(lead[s0:s1], ap0[blk],
-                                          r[li, s0:s1, blk], r[li, :, blk]))
+                    u[blk], _cophased(buf, lead[s0:s1], ap0[blk],
+                                      r[li, s0:s1, blk], r[li, :, blk]))
                     for blk in blocks)
+                if w is not None:
+                    cascade = cascade @ np.conj(w)
                 h = cascade.reshape(s1 - s0, k, n)
                 h += d
                 for j, s in enumerate(range(s0, s1)):
@@ -181,41 +192,49 @@ def _coefficient(d, f, alpha):
 
 
 def _fixed_link(topo, f, alpha, m, n):
-    """The (L, M, N) AP -> RIS link of topo's AP and surfaces, read-only.
+    """The (L, M, N) AP -> RIS link of topo's AP and surfaces, as a
+    read-only zero-stride view; its factor is kept beside it for the
+    link-gain table.
 
     The key is every value the link is built from and nothing else, so
     every point of a power sweep (or a user-count sweep) shares one link
     per process. The previous link is released before the next one is
-    built. A link with non-finite entries is returned unkept, for
-    ChannelSet to reject.
+    built. A link with non-finite entries raises and is not kept.
     """
     global _link
     key = (tuple(topo.ap.tolist()), tuple(map(tuple, topo.riss.tolist())),
            f, alpha, m, n)
     if _link[0] == key:
         return _link[1]
-    _link = (None, None)
-    link = _build_link(topo, f, alpha, m, n)
-    if not _all_finite(link):
-        return link
-    link.setflags(write=False)
-    _link = (key, link)
+    _link = (None, None, None)
+    u, w = _build_link(topo, f, alpha, m, n)
+    if not (_all_finite(u) and _all_finite(w)):
+        raise NumericError("ap_ris contains non-finite entries")
+    u.setflags(write=False)
+    w.setflags(write=False)
+    # every entry of link l is one coefficient, U_l[0] W_l[:, 0]: its
+    # zero-stride view is the whole link
+    link = np.broadcast_to(u[:, :1] @ w[:, :, :1], (len(u), m, n))
+    _link = (key, link, (u, w))
     return link
 
 
 def _build_link(topo, f, alpha, m, n):
-    link = np.empty((topo.num_riss, m, n), dtype=np.complex128)
-    for j, d in enumerate(topo.ap_ris_distances()):
-        link[j, :, :] = _coefficient(d, f, alpha)
-    return link
+    """Factor (U, W) of the AP -> RIS link, A_l = U_l W_l: U (L, M, 1)
+    holds link l's coefficient at every element and W (L, 1, N) is 1."""
+    c = np.array([_coefficient(d, f, alpha)
+                  for d in topo.ap_ris_distances()], dtype=np.complex128)
+    u = np.repeat(c[:, None, None], m, axis=1)
+    return u, np.ones((len(c), 1, n), dtype=np.complex128)
 
 
 def _all_finite(arr):
     return bool(np.all(np.isfinite(arr)))
 
 
-def _cophased(lead, ap0, served, every):
-    """Left operand of one link-table product, over a block of elements.
+def _cophased(buf, lead, ap0, served, every):
+    """Left operand of one link-table product, over a block of elements,
+    written into the front of buf.
 
     Row j*K + i is every[i] * turn[j], where turn[j, e] = exp(j(arg lead[j]
     - arg(ap0[e] served[j, e]))) is the unit coefficient of element e that
@@ -223,8 +242,10 @@ def _cophased(lead, ap0, served, every):
     (lead: unit direct[:, 0] of the served IUs; ap0: conj(ap_ris[l, :, 0])).
     """
     turn = lead[:, None] * np.conj(_unit(ap0 * served))
-    return (turn[:, None] * every).reshape(len(turn) * len(every),
-                                           every.shape[1])
+    rows, width = len(turn) * len(every), every.shape[1]
+    out = buf[:rows * width].reshape(len(turn), len(every), width)
+    np.multiply(turn[:, None], every, out=out)
+    return out.reshape(rows, width)
 
 
 def _unit(z):

@@ -55,30 +55,6 @@ def surrogate_gradient(gm, p_t):
     return rho
 
 
-def surrogate_objective(gm, p, rho):
-    """sum_k log2(sum_i p_i g_{k,i} + sigma_k^2) - sum_{k,i} rho[k,i] p_i.
-
-    Constant terms of the surrogate (values fixed by the expansion point)
-    are dropped, so this is comparable only across p for fixed rho.
-    """
-    p = _check_power(gm, p)
-    return float(_kernels.surrogate_value(
-        np.ascontiguousarray(gm.g), gm.noise_power,
-        np.ascontiguousarray(rho.sum(axis=0)), p))
-
-
-def surrogate_rate_bound(gm, p, p_t):
-    """Per-IU minorant rates at p, expanded at p_t (the dropped constants
-    restored): log2(D_k(p)) - log2(I_k(p_t)) - sum_i rho[k,i] (p_i - p_t_i)."""
-    p = _check_power(gm, p)
-    p_t = _check_power(gm, p_t)
-    rho = surrogate_gradient(gm, p_t)
-    diag = np.diag(gm.g)
-    d_full = gm.g @ p + gm.noise_power
-    interf_t = gm.g @ p_t - diag * p_t + gm.noise_power
-    return np.log2(d_full) - np.log2(interf_t) - rho @ (p - p_t)
-
-
 def _check_budget(p_max):
     p_max = float(p_max)
     if not np.isfinite(p_max) or p_max <= 0.0:

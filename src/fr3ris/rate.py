@@ -25,19 +25,6 @@ def _check_power(gm, p):
     return p
 
 
-def interference(gm, p, k):
-    """Received interference plus noise at IU k: sum_{i != k} p_i g_{k,i} + sigma_k^2."""
-    p = _check_power(gm, p)
-    row = gm.g[k]
-    return float(row @ p - row[k] * p[k] + gm.noise_power[k])
-
-
-def sinr(gm, p, k):
-    """p_k g_{k,k} / (interference + noise) at IU k."""
-    p = _check_power(gm, p)
-    return float(p[k] * gm.g[k, k]) / interference(gm, p, k)
-
-
 def sum_rate(gm, p):
     """Network spectral efficiency: R_k = log2(1 + SINR_k), summed over IUs."""
     p = _check_power(gm, p)

@@ -26,11 +26,6 @@ def as_position(p, name="position"):
     return a
 
 
-def distance(a, b):
-    """Euclidean distance in meters between two positions."""
-    return float(np.linalg.norm(as_position(a, "a") - as_position(b, "b")))
-
-
 @dataclass(frozen=True)
 class NetworkTopology:
     ap: np.ndarray    # (3,)

@@ -5,7 +5,8 @@ dense grids, deliberately sharing no code with the package internals. The
 two exceptions are former implementations kept as references:
 `armijo_inner_oracle` and `exhaustive_loop_oracle`, which scores through the
 package's own gain gather and sum rate so that its result can be compared
-with `==`.
+with `==`. The helpers at the end are evaluators that only tests call;
+they check their inputs with the package's own validators.
 """
 
 import cmath
@@ -13,6 +14,12 @@ import itertools
 import math
 
 import numpy as np
+
+from fr3ris import _kernels
+from fr3ris.association import Association, _check_utilities
+from fr3ris.power_sca import surrogate_gradient
+from fr3ris.rate import _check_power, association_sum_rate
+from fr3ris.topology import as_position
 
 
 def rate_oracle(g, sigma2, p):
@@ -238,8 +245,6 @@ def exhaustive_loop_oracle(channels, p_star, noise_power_w):
     RISs), through `rate.association_sum_rate`; a later candidate wins
     only with a strictly larger rate. Returns (gamma, sum rate). The
     per-candidate reference for `association.exhaustive_association`."""
-    from fr3ris.rate import association_sum_rate
-
     k_count, l_count = channels.num_ius, channels.num_riss
     best_gamma, best_rate = None, -np.inf
     for j in range(min(k_count, l_count) + 1):
@@ -252,3 +257,79 @@ def exhaustive_loop_oracle(channels, p_star, noise_power_w):
                 if rate > best_rate:
                     best_gamma, best_rate = gamma, rate
     return best_gamma, float(best_rate)
+
+
+# -- evaluators only tests call ---------------------------------------------
+
+def distance(a, b):
+    """Euclidean distance in meters between two positions."""
+    return float(np.linalg.norm(as_position(a, "a") - as_position(b, "b")))
+
+
+def interference(gm, p, k):
+    """Received interference plus noise at IU k: sum_{i != k} p_i g_{k,i} + sigma_k^2."""
+    p = _check_power(gm, p)
+    row = gm.g[k]
+    return float(row @ p - row[k] * p[k] + gm.noise_power[k])
+
+
+def sinr(gm, p, k):
+    """p_k g_{k,k} / (interference + noise) at IU k."""
+    p = _check_power(gm, p)
+    return float(p[k] * gm.g[k, k]) / interference(gm, p, k)
+
+
+def surrogate_objective(gm, p, rho):
+    """sum_k log2(sum_i p_i g_{k,i} + sigma_k^2) - sum_{k,i} rho[k,i] p_i.
+
+    Constant terms of the surrogate (values fixed by the expansion point)
+    are dropped, so this is comparable only across p for fixed rho.
+    """
+    p = _check_power(gm, p)
+    return float(_kernels.surrogate_value(
+        np.ascontiguousarray(gm.g), gm.noise_power,
+        np.ascontiguousarray(rho.sum(axis=0)), p))
+
+
+def surrogate_rate_bound(gm, p, p_t):
+    """Per-IU minorant rates at p, expanded at p_t (the dropped constants
+    restored): log2(D_k(p)) - log2(I_k(p_t)) - sum_i rho[k,i] (p_i - p_t_i)."""
+    p = _check_power(gm, p)
+    p_t = _check_power(gm, p_t)
+    rho = surrogate_gradient(gm, p_t)
+    diag = np.diag(gm.g)
+    d_full = gm.g @ p + gm.noise_power
+    interf_t = gm.g @ p_t - diag * p_t + gm.noise_power
+    return np.log2(d_full) - np.log2(interf_t) - rho @ (p - p_t)
+
+
+def empty_association(num_ius, num_riss):
+    """The Association that serves nobody through a RIS."""
+    return Association(gamma=np.zeros((num_ius, num_riss), dtype=np.int64))
+
+
+def served_ris(assoc, k):
+    """Index of the RIS serving IU k, or -1."""
+    hits = np.flatnonzero(assoc.gamma[k])
+    return int(hits[0]) if hits.size else -1
+
+
+def find_blocking_pair(u, assoc):
+    """First (k, l) that would defect together under u, or None if stable."""
+    u = _check_utilities(u)
+    k_count, l_count = u.shape
+    matched_u = np.zeros(k_count)
+    holder = [-1] * l_count
+    for k, l in assoc.pairs():
+        matched_u[k] = u[k, l]
+        holder[l] = k
+    for k in range(k_count):
+        for l in range(l_count):
+            if u[k, l] <= 0.0 or assoc.gamma[k, l]:
+                continue
+            if u[k, l] <= matched_u[k]:
+                continue
+            cur = holder[l]
+            if cur < 0 or u[k, l] > u[cur, l]:
+                return (k, l)
+    return None

@@ -12,15 +12,15 @@ import time
 
 import numpy as np
 
-from oracles import (grid_max, random_feasible_points, rate_oracle,
-                     surrogate_batch)
-from fr3ris.association import find_blocking_pair, match_deferred_acceptance
+from oracles import (find_blocking_pair, grid_max, interference,
+                     random_feasible_points, rate_oracle, surrogate_batch,
+                     surrogate_objective)
+from fr3ris.association import match_deferred_acceptance
 from fr3ris.channel import GainMatrix
 from fr3ris.config import ScenarioConfig
 from fr3ris.experiment import _run_schemes, sweep
-from fr3ris.power_sca import (sca_power, solve_inner, surrogate_gradient,
-                              surrogate_objective)
-from fr3ris.rate import interference, sum_rate
+from fr3ris.power_sca import sca_power, solve_inner, surrogate_gradient
+from fr3ris.rate import sum_rate
 
 
 def _report(capsys, number, ok, detail, elapsed, budget_s):

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -205,7 +206,7 @@ def test_channel_arrays_are_read_only():
 @pytest.fixture
 def no_link(monkeypatch):
     # start from an empty link cache; the link kept before is put back after
-    monkeypatch.setattr(channel, "_link", (None, None))
+    monkeypatch.setattr(channel, "_link", (None, None, None))
 
 
 def _link_formula(topo, cfg):
@@ -263,19 +264,21 @@ def test_non_finite_link_is_rejected_however_it_is_made(no_link, monkeypatch):
                            match="ap_ris contains non-finite entries"):
             ChannelSet(direct=ch.direct, ap_ris=ap_ris, ris_iu=ch.ris_iu,
                        carrier_freq_hz=ch.carrier_freq_hz)
-    # a built link with a non-finite entry fails the same way and is not kept
+    # a built link whose factor has a non-finite entry fails the same way
+    # and is not kept
     build = channel._build_link
+    for side, bad in ((0, np.nan), (1, np.inf)):
+        def broken(*args):
+            factor = build(*args)
+            factor[side][0, 0, 0] = bad
+            return factor
 
-    def broken(*args):
-        link = build(*args)
-        link[0, 0, 0] = np.nan
-        return link
-
-    monkeypatch.setattr(channel, "_link", (None, None))
-    monkeypatch.setattr(channel, "_build_link", broken)
-    with pytest.raises(NumericError, match="ap_ris contains non-finite entries"):
-        synthesize_channels(topo, cfg)
-    assert channel._link == (None, None)
+        monkeypatch.setattr(channel, "_link", (None, None, None))
+        monkeypatch.setattr(channel, "_build_link", broken)
+        with pytest.raises(NumericError,
+                           match="ap_ris contains non-finite entries"):
+            synthesize_channels(topo, cfg)
+        assert channel._link == (None, None, None)
 
 
 def test_a_changed_key_releases_the_old_link(no_link):
@@ -287,6 +290,89 @@ def test_a_changed_key_releases_the_old_link(no_link):
     synthesize_channels(topo, cfg.with_updates(num_antennas=5))
     gc.collect()
     assert old() is None
+
+
+def _assert_tables_agree(got, ref, rtol=1e-10):
+    # NaN columns in the same places; elsewhere within rtol of the largest
+    # entry of each (link, column)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+    scale = np.nanmax(np.abs(ref), axis=1, keepdims=True, initial=0.0)
+    finite = ~np.isnan(ref)
+    assert np.all(np.abs(got - ref)[finite]
+                  <= (rtol * np.broadcast_to(scale, ref.shape))[finite])
+
+
+def _rand_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 5), l=st.integers(0, 3), m=st.integers(0, 6),
+       n=st.integers(1, 5), rank=st.integers(1, 5), zero_iu=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(k=3, l=0, m=4, n=3, rank=1, zero_iu=False, seed=1)  # no surfaces
+@example(k=3, l=2, m=0, n=3, rank=2, zero_iu=False, seed=2)  # no elements
+@example(k=3, l=2, m=0, n=3, rank=1, zero_iu=True, seed=3)
+@example(k=4, l=2, m=6, n=4, rank=4, zero_iu=False, seed=4)  # full rank
+@example(k=2, l=3, m=5, n=5, rank=1, zero_iu=True, seed=5)
+def test_factored_link_table_equals_dense_link_table(k, l, m, n, rank,
+                                                     zero_iu, seed):
+    # a kept link of any rank r <= N gives the table of its dense product
+    rng = np.random.default_rng(seed)
+    r = min(rank, n)
+    u, w = _rand_complex(rng, l, m, r), _rand_complex(rng, l, r, n)
+    direct, ris_iu = _rand_complex(rng, k, n), _rand_complex(rng, l, k, m)
+    if zero_iu:
+        direct[0] = 0.0
+        ris_iu[:, 0] = 0.0
+    topo = NetworkTopology(
+        ap=[0.0, 0.0, 10.0], riss=[[5.0 + j, 10.0, 5.0] for j in range(l)],
+        ius=[[3.0 + i, 4.0, 1.5] for i in range(k)])
+    with mock.patch.object(channel, "_link", (None, None, None)), \
+            mock.patch.object(channel, "_build_link",
+                              lambda *args: (u.copy(), w.copy())):
+        # only the kept view's identity matters here: it selects the factor
+        kept = channel._fixed_link(topo, 15e9, 2.0, m, n)
+        factored = ChannelSet(direct=direct, ap_ris=kept, ris_iu=ris_iu,
+                              carrier_freq_hz=15e9)
+    dense = ChannelSet(direct=direct, ap_ris=u @ w, ris_iu=ris_iu,
+                       carrier_freq_hz=15e9)
+    if zero_iu:
+        assert np.all(np.isnan(factored.link_gains[:, :, 0]))
+    _assert_tables_agree(factored.link_gains, dense.link_gains)
+
+
+def test_default_realizations_match_their_dense_link(no_link):
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        ch = synthesize_channels(sample_topology(cfg, rng), cfg)
+        assert ch.ap_ris is channel._link[1]
+        dense = np.array(ch.ap_ris)
+        assert dense.shape == (cfg.num_riss, cfg.num_elements,
+                               cfg.num_antennas)
+        ref = ChannelSet(direct=ch.direct, ap_ris=dense, ris_iu=ch.ris_iu,
+                         carrier_freq_hz=ch.carrier_freq_hz)
+        _assert_tables_agree(ch.link_gains, ref.link_gains)
+
+
+def test_default_channel_set_allocates_less_than_one_dense_surface(no_link):
+    # the link is a zero-stride view of its L coefficients, and the table
+    # build reuses one operand buffer: neither the first build nor a later
+    # one allocates an (M, N) array, let alone the (L, M, N) link
+    cfg = ScenarioConfig()
+    limit = cfg.num_elements * cfg.num_antennas * 16
+    rng = np.random.default_rng(12)
+    for build in ("first", "kept"):
+        topo = sample_topology(cfg, rng)
+        tracemalloc.start()
+        try:
+            ch = synthesize_channels(topo, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (build, peak)
+        assert ch.ap_ris.strides[1:] == (0, 0)
 
 
 # -- effective channel ------------------------------------------------------

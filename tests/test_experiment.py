@@ -180,8 +180,9 @@ def test_parallel_sweep_matches_serial(monkeypatch):
 
 def test_a_power_sweep_builds_and_scans_the_link_once(monkeypatch):
     # the AP -> RIS link depends on no sweep variable but the deployment's:
-    # 15 realizations over 5 power points build it, and scan it, once
-    monkeypatch.setattr(channel, "_link", (None, None))
+    # 15 realizations over 5 power points build it, and scan its factor,
+    # once
+    monkeypatch.setattr(channel, "_link", (None, None, None))
     monkeypatch.delenv("FR3_THREADS", raising=False)
     built, scanned = [], []
     build, scan = channel._build_link, channel._all_finite
@@ -200,10 +201,11 @@ def test_a_power_sweep_builds_and_scans_the_link_once(monkeypatch):
                power_sweep_dbm=(10.0, 13.0, 16.0, 19.0, 23.0))
     sweep(cfg, "power")
     assert len(built) == 1
-    assert sum(arr is built[0] for arr in scanned) == 1
-    # besides the link, each realization scans its direct and RIS -> IU
-    # channels
-    assert len(scanned) == 1 + 2 * 5 * cfg.realizations
+    for factor in built[0]:
+        assert sum(arr is factor for arr in scanned) == 1
+    # besides the factor's two arrays, each realization scans its direct
+    # and RIS -> IU channels
+    assert len(scanned) == 2 + 2 * 5 * cfg.realizations
 
 
 @pytest.mark.parametrize("rounds, calls", [(1, 5), (2, 5), (3, 9)])

@@ -8,12 +8,12 @@ from fr3ris.channel import GainMatrix
 from fr3ris.errors import NumericError
 from fr3ris._kernels import ARMIJO_BETA, ARMIJO_C
 from fr3ris.power_sca import (INNER_MAX, INNER_TOL, sca_power, solve_inner,
-                              surrogate_gradient, surrogate_objective,
-                              surrogate_rate_bound)
+                              surrogate_gradient)
 from fr3ris.rate import sum_rate
 
 from oracles import (armijo_inner_oracle, grid_max, random_feasible_points,
-                     sum_rate_batch, surrogate_batch)
+                     sum_rate_batch, surrogate_batch, surrogate_objective,
+                     surrogate_rate_bound)
 
 
 def _instance(rng, k=3, noise_lo=0.3, noise_hi=1.0):

@@ -3,9 +3,9 @@ import pytest
 
 from fr3ris.channel import GainMatrix
 from fr3ris.errors import DimensionError, NumericError
-from fr3ris.rate import interference, sinr, sum_rate
+from fr3ris.rate import sum_rate
 
-from oracles import rate_oracle
+from oracles import interference, rate_oracle, sinr
 
 
 def _random_gm(rng, k=3, sigma=None):

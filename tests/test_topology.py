@@ -3,7 +3,9 @@ import pytest
 
 from fr3ris.config import ScenarioConfig, parse_config
 from fr3ris.errors import ConfigError
-from fr3ris.topology import (NetworkTopology, distance, sample_topology)
+from fr3ris.topology import NetworkTopology, sample_topology
+
+from oracles import distance
 
 
 def _desk_cfg(**kw):
