@@ -9,35 +9,35 @@ is built, checked finite and frozen once per deployment (_fixed_link):
 every realization of a sweep point shares it. It is kept as its factor
 A_l = U_l W_l, U_l (M, r) and W_l (r, N); under this model r = 1, with
 U_l = c_l 1_M and W_l = 1_N^T. ChannelSet.ap_ris is then a read-only
-zero-stride (L, M, N) view of the coefficients, which costs no memory.
+zero-stride (L, M, N) view of the coefficients, which costs no memory; a
+factor whose link is not one coefficient per surface is exposed as its
+exact product U_l W_l.
 
 On top of that: a ChannelSet forms, once, every IU's MRT beam on every
 link it could use (direct, or through a RIS co-phased for it) and keeps
 the power each beam delivers at every IU; the K x K gain matrix of any
-association is a gather from that table. The table stacks, per RIS, every
-IU's channel co-phased for a group of served IUs as the rows of one
-product with a block of the RIS's elements: a few (rows, block) x
-(block, r) products with U_l per group, then one (rows, r) x (r, N)
-product with W_l. A dense link given by the caller is its own factor
-(U_l = A_l, no W_l). Every product's left operand is written into one
-buffer allocated per table build.
+association is a gather from that table. Per RIS the table contracts
+with the factor first: over cache-sized blocks of elements, the unit
+co-phasing coefficients of all K IUs are formed once and one
+(K, block) x (block, K r) product with U_l accumulates every IU's
+cascade co-phased for every IU, a (K, K, r) array. Each served IU's
+(K, N) channel slab is then its (K, r) slice times W_l plus the direct
+channels. A dense link given by the caller is its own factor (U_l = A_l,
+r = N, no W_l) and takes the same path.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics
 from .errors import DimensionError, NumericError
 
 SPEED_OF_LIGHT = 299_792_458.0
 _MIN_DISTANCE = 1e-3
-# Link-table products: served IUs are grouped so that a product has at
-# least about _ROWS rows (group * K), and elements are blocked so that its
-# stacked left operand holds at most about _ENTRIES complex entries (1 MB).
-# Memory then grows with K, not K^2.
-_ROWS = 32
-_ENTRIES = 1 << 16
+# Link-table products run over blocks of elements small enough that each
+# (K, block, r) temporary holds at most about _ENTRIES complex entries
+# (128 kB, cache-sized). Memory then grows with K, not K * M.
+_ENTRIES = 1 << 13
 
 # (key, link, factor) of the last AP -> RIS link built in this process;
 # see _fixed_link. One entry, so a sweep holds one point's link at a time.
@@ -84,32 +84,19 @@ class ChannelSet:
         gains = np.empty((l + 1, k, k))
         for i in range(k):
             gains[0, :, i] = _beam_gains(d, i)
-        k1 = max(k, 1)  # K = 0 leaves an empty table
-        group = min(k1, max(1, _ROWS // k1))
-        step = max(1, _ENTRIES // (group * k1))
-        # at least one block, so that M = 0 still gives a zero cascade
-        blocks = [slice(m0, m0 + step) for m0 in range(0, max(m, 1), step)]
-        buf = np.empty(group * k * min(step, m), dtype=np.complex128)
+        lead = _unit(d[:, 0])
         # A_l = U_l W_l: the kept link's factor, or a given link as itself
         us, ws = _link[2] if a is _link[1] else (a, None)
         for li in range(l):
-            u, w = us[li], None if ws is None else ws[li]
-            lead = _unit(d[:, 0])
-            ap0 = np.conj(u[:, 0] if w is None else u @ w[:, 0])
-            for s0 in range(0, k, group):
-                s1 = min(s0 + group, k)
-                # row j*K + i: IU i's cascade through RIS li co-phased for
-                # served IU s0 + j
-                cascade = sum(numerics.matvec_hermitian(
-                    u[blk], _cophased(buf, lead[s0:s1], ap0[blk],
-                                      r[li, s0:s1, blk], r[li, :, blk]))
-                    for blk in blocks)
-                if w is not None:
-                    cascade = cascade @ np.conj(w)
-                h = cascade.reshape(s1 - s0, k, n)
-                h += d
-                for j, s in enumerate(range(s0, s1)):
-                    gains[li + 1, :, s] = _beam_gains(h[j], s)
+            w = None if ws is None else ws[li]
+            cascade = _cascade(us[li], w, r[li])
+            cascade *= lead[:, None]
+            if w is not None:
+                w = np.conj(w)
+            for j in range(k):
+                # every IU's channel through RIS li co-phased for IU j
+                h = cascade[:, j] if w is None else cascade[:, j] @ w
+                gains[li + 1, :, j] = _beam_gains(h + d, j)
         gains.setflags(write=False)
         object.__setattr__(self, "link_gains", gains)
 
@@ -192,9 +179,10 @@ def _coefficient(d, f, alpha):
 
 
 def _fixed_link(topo, f, alpha, m, n):
-    """The (L, M, N) AP -> RIS link of topo's AP and surfaces, as a
-    read-only zero-stride view; its factor is kept beside it for the
-    link-gain table.
+    """The (L, M, N) AP -> RIS link of topo's AP and surfaces, read-only:
+    a zero-stride view when each surface's link is one coefficient (U_l
+    constant along M, W_l along N), else the product U W. Its factor is
+    kept beside it for the link-gain table.
 
     The key is every value the link is built from and nothing else, so
     every point of a power sweep (or a user-count sweep) shares one link
@@ -212,9 +200,13 @@ def _fixed_link(topo, f, alpha, m, n):
         raise NumericError("ap_ris contains non-finite entries")
     u.setflags(write=False)
     w.setflags(write=False)
-    # every entry of link l is one coefficient, U_l[0] W_l[:, 0]: its
-    # zero-stride view is the whole link
-    link = np.broadcast_to(u[:, :1] @ w[:, :, :1], (len(u), m, n))
+    if np.all(u == u[:, :1]) and np.all(w == w[:, :, :1]):
+        # every entry of link l is one coefficient, U_l[0] W_l[:, 0]: its
+        # zero-stride view is the whole link
+        link = np.broadcast_to(u[:, :1] @ w[:, :, :1], (len(u), m, n))
+    else:
+        link = u @ w
+        link.setflags(write=False)
     _link = (key, link, (u, w))
     return link
 
@@ -232,20 +224,26 @@ def _all_finite(arr):
     return bool(np.all(np.isfinite(arr)))
 
 
-def _cophased(buf, lead, ap0, served, every):
-    """Left operand of one link-table product, over a block of elements,
-    written into the front of buf.
+def _cascade(u, w, ris_iu):
+    """(K, K, r) array whose [i, j] is IU i's cascade through one RIS,
+    co-phased for IU j but before the turn to j's direct phase, on the
+    element side U of the RIS's link A = U W (W None: U is A itself).
 
-    Row j*K + i is every[i] * turn[j], where turn[j, e] = exp(j(arg lead[j]
-    - arg(ap0[e] served[j, e]))) is the unit coefficient of element e that
-    co-phases served IU j's cascade with its direct channel at antenna 0
-    (lead: unit direct[:, 0] of the served IUs; ap0: conj(ap_ris[l, :, 0])).
+    [i, j, q] = sum_e ris_iu[i, e] conj(phase[j, e] U[e, q]), phase[j, e]
+    the unit coefficient of (conj(A[e, 0]) ris_iu[j, e]), summed over
+    element blocks of one (K, block) x (block, K r) product each.
     """
-    turn = lead[:, None] * np.conj(_unit(ap0 * served))
-    rows, width = len(turn) * len(every), every.shape[1]
-    out = buf[:rows * width].reshape(len(turn), len(every), width)
-    np.multiply(turn[:, None], every, out=out)
-    return out.reshape(rows, width)
+    k, rank = ris_iu.shape[0], u.shape[1]
+    step = max(1, _ENTRIES // max(k * rank, 1))
+    ap0 = np.conj(u[:, 0] if w is None else u @ w[:, 0])
+    out = np.zeros((k, k * rank), dtype=np.complex128)
+    for m0 in range(0, len(u), step):
+        blk = slice(m0, m0 + step)
+        ub, every = u[blk], ris_iu[:, blk]
+        phase = _unit(ap0[blk] * every)
+        v = phase.T[:, :, None] * ub[:, None, :]
+        out += every @ np.conjugate(v, out=v).reshape(len(ub), k * rank)
+    return out.reshape(k, k, rank)
 
 
 def _unit(z):
@@ -255,7 +253,7 @@ def _unit(z):
     mag = np.abs(z)
     zero = mag == 0.0
     mag[zero] = 1.0
-    out = z / mag
+    out = z * np.reciprocal(mag, out=mag)
     out[zero] = np.exp(1j * np.angle(z[zero]))
     return out
 

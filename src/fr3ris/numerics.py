@@ -1,4 +1,12 @@
-"""Validated Hermitian matrix-vector product for the channel module."""
+"""Validated Hermitian matrix-vector product.
+
+No module in fr3ris calls it any more: the link-gain table contracts its
+element blocks in channel.py. It stays, with backend(), because the
+benchmark in perfbench/ binds both names (perfbench/tracer.py wraps
+matvec_hermitian, perfbench/child.py records backend();
+tests/test_benchmark_bindings.py guards them) until a change to the
+benchmark retires them.
+"""
 
 import numpy as np
 

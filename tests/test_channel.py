@@ -309,15 +309,26 @@ def _rand_complex(rng, *shape):
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 5), l=st.integers(0, 3), m=st.integers(0, 6),
        n=st.integers(1, 5), rank=st.integers(1, 5), zero_iu=st.booleans(),
+       entries=st.sampled_from((channel._ENTRIES, 1, 7, 20)),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(k=3, l=0, m=4, n=3, rank=1, zero_iu=False, seed=1)  # no surfaces
-@example(k=3, l=2, m=0, n=3, rank=2, zero_iu=False, seed=2)  # no elements
-@example(k=3, l=2, m=0, n=3, rank=1, zero_iu=True, seed=3)
-@example(k=4, l=2, m=6, n=4, rank=4, zero_iu=False, seed=4)  # full rank
-@example(k=2, l=3, m=5, n=5, rank=1, zero_iu=True, seed=5)
+@example(k=3, l=0, m=4, n=3, rank=1, zero_iu=False,
+         entries=channel._ENTRIES, seed=1)  # no surfaces
+@example(k=3, l=2, m=0, n=3, rank=2, zero_iu=False,
+         entries=channel._ENTRIES, seed=2)  # no elements
+@example(k=3, l=2, m=0, n=3, rank=1, zero_iu=True,
+         entries=channel._ENTRIES, seed=3)
+@example(k=4, l=2, m=6, n=4, rank=4, zero_iu=False,
+         entries=channel._ENTRIES, seed=4)  # full rank
+@example(k=2, l=3, m=5, n=5, rank=1, zero_iu=True,
+         entries=channel._ENTRIES, seed=5)
+# rank 2 over element blocks of 3, 3, 2 (K * r = 6 entries per element)
+@example(k=3, l=2, m=8, n=4, rank=2, zero_iu=False, entries=20, seed=6)
+# K * r above the entry count: one element per product
+@example(k=4, l=1, m=5, n=3, rank=3, zero_iu=True, entries=7, seed=7)
 def test_factored_link_table_equals_dense_link_table(k, l, m, n, rank,
-                                                     zero_iu, seed):
-    # a kept link of any rank r <= N gives the table of its dense product
+                                                     zero_iu, entries, seed):
+    # a kept link of any rank r <= N gives the table of its dense product,
+    # however its elements are blocked
     rng = np.random.default_rng(seed)
     r = min(rank, n)
     u, w = _rand_complex(rng, l, m, r), _rand_complex(rng, l, r, n)
@@ -333,8 +344,9 @@ def test_factored_link_table_equals_dense_link_table(k, l, m, n, rank,
                               lambda *args: (u.copy(), w.copy())):
         # only the kept view's identity matters here: it selects the factor
         kept = channel._fixed_link(topo, 15e9, 2.0, m, n)
-        factored = ChannelSet(direct=direct, ap_ris=kept, ris_iu=ris_iu,
-                              carrier_freq_hz=15e9)
+        with mock.patch.object(channel, "_ENTRIES", entries):
+            factored = ChannelSet(direct=direct, ap_ris=kept, ris_iu=ris_iu,
+                                  carrier_freq_hz=15e9)
     dense = ChannelSet(direct=direct, ap_ris=u @ w, ris_iu=ris_iu,
                        carrier_freq_hz=15e9)
     if zero_iu:
@@ -356,10 +368,31 @@ def test_default_realizations_match_their_dense_link(no_link):
         _assert_tables_agree(ch.link_gains, ref.link_gains)
 
 
+def test_kept_link_of_a_non_constant_factor_is_its_exact_product(
+        no_link, monkeypatch):
+    # only a link of one coefficient per surface is exposed as a zero-stride
+    # view; any other factor's link is its product U_l W_l
+    topo, cfg, ch = _physical_channelset(k=2, l=2, n=3, m_side=2)
+    assert ch.ap_ris.strides[1:] == (0, 0)
+    rng = np.random.default_rng(21)
+    u = _rand_complex(rng, 2, cfg.num_elements, 1)
+    w = _rand_complex(rng, 2, 1, cfg.num_antennas)
+    monkeypatch.setattr(channel, "_link", (None, None, None))
+    monkeypatch.setattr(channel, "_build_link",
+                        lambda *args: (u.copy(), w.copy()))
+    ch = synthesize_channels(topo, cfg)
+    assert ch.ap_ris is channel._link[1]
+    assert not ch.ap_ris.flags.writeable
+    np.testing.assert_array_equal(np.array(ch.ap_ris), u @ w)
+    dense = ChannelSet(direct=ch.direct, ap_ris=u @ w, ris_iu=ch.ris_iu,
+                       carrier_freq_hz=ch.carrier_freq_hz)
+    _assert_tables_agree(ch.link_gains, dense.link_gains)
+
+
 def test_default_channel_set_allocates_less_than_one_dense_surface(no_link):
     # the link is a zero-stride view of its L coefficients, and the table
-    # build reuses one operand buffer: neither the first build nor a later
-    # one allocates an (M, N) array, let alone the (L, M, N) link
+    # runs over element blocks: neither the first build nor a later one
+    # allocates an (M, N) array, let alone the (L, M, N) link
     cfg = ScenarioConfig()
     limit = cfg.num_elements * cfg.num_antennas * 16
     rng = np.random.default_rng(12)
@@ -373,6 +406,23 @@ def test_default_channel_set_allocates_less_than_one_dense_surface(no_link):
             tracemalloc.stop()
         assert peak < limit, (build, peak)
         assert ch.ap_ris.strides[1:] == (0, 0)
+
+
+def test_unit_phasor_equals_z_over_its_magnitude():
+    # nonzero z: z / |z| in value (array_equal: a signed zero is equal);
+    # exact +-0 keeps np.angle's convention through exp(j angle(z))
+    rng = np.random.default_rng(31)
+    z = (_rand_complex(rng, 4, 500)
+         * 10.0 ** rng.uniform(-150.0, 150.0, (4, 500)))
+    z[0, :3] = (-2.0, 3.0j, -1e-200j)  # on an axis
+    assert np.array_equal(channel._unit(z), z / np.abs(z))
+    zeros = np.array([complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)])
+    want = np.exp(1j * np.angle(zeros))
+    assert len(set(want.tolist())) == 3  # 1 and -1 with either sign of 0
+    assert np.array_equal(channel._unit(zeros), want)
+    mixed = np.concatenate([z[1, :5], zeros])
+    assert np.array_equal(channel._unit(mixed),
+                          np.concatenate([z[1, :5] / np.abs(z[1, :5]), want]))
 
 
 # -- effective channel ------------------------------------------------------
@@ -431,29 +481,27 @@ def _link_gains_per_vector(ch):
 @given(k=st.integers(1, 5), l=st.integers(0, 3), m=st.integers(1, 6),
        n=st.integers(1, 5), zero_iu=st.booleans(),
        zero_through=st.sampled_from((None, "ap_ris", "ris_iu")),
-       rows=st.sampled_from((channel._ROWS, 1, 4, 10)),
        entries=st.sampled_from((channel._ENTRIES, 1, 7, 20)),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(k=3, l=0, m=2, n=3, zero_iu=False, zero_through=None,
-         rows=channel._ROWS, entries=channel._ENTRIES, seed=1)  # no surfaces
+         entries=channel._ENTRIES, seed=1)  # no surfaces
 @example(k=3, l=2, m=1, n=4, zero_iu=False, zero_through=None,
-         rows=channel._ROWS, entries=channel._ENTRIES, seed=2)  # one element
+         entries=channel._ENTRIES, seed=2)  # one element
 @example(k=3, l=2, m=4, n=2, zero_iu=True, zero_through=None,
-         rows=channel._ROWS, entries=channel._ENTRIES, seed=3)  # zero channel
-# groups of 2, 2, 1 served IUs and element blocks of 2, 2, 1
-@example(k=5, l=2, m=5, n=3, zero_iu=False, zero_through=None,
-         rows=10, entries=20, seed=4)
-# one served IU and one element per product
+         entries=channel._ENTRIES, seed=3)  # zero channel
+# element blocks of 2, 2, 1 (K * r = 10 entries per element)
+@example(k=5, l=2, m=5, n=2, zero_iu=False, zero_through=None,
+         entries=20, seed=4)
+# one element per product
 @example(k=4, l=1, m=3, n=2, zero_iu=False, zero_through=None,
-         rows=1, entries=1, seed=5)
+         entries=1, seed=5)
 # through = 0 at one element: co-phased by np.angle's convention for 0
 @example(k=3, l=2, m=4, n=3, zero_iu=False, zero_through="ap_ris",
-         rows=channel._ROWS, entries=channel._ENTRIES, seed=6)
+         entries=channel._ENTRIES, seed=6)
 @example(k=3, l=2, m=4, n=3, zero_iu=False, zero_through="ris_iu",
-         rows=4, entries=7, seed=7)
+         entries=7, seed=7)
 def test_link_gains_match_per_vector_definition(k, l, m, n, zero_iu,
-                                                 zero_through, rows, entries,
-                                                 seed):
+                                                 zero_through, entries, seed):
     ch = _rand_channelset(np.random.default_rng(seed), k=k, l=l, m=m, n=n)
     direct, ap_ris, ris_iu = (ch.direct.copy(), ch.ap_ris.copy(),
                               ch.ris_iu.copy())
@@ -466,9 +514,8 @@ def test_link_gains_match_per_vector_definition(k, l, m, n, zero_iu,
         ap_ris[:, -1, 0] = 0.0
     elif zero_through == "ris_iu":
         ris_iu[:, -1, -1] = 0.0
-    # small constants split the products into several groups and blocks
-    with mock.patch.object(channel, "_ROWS", rows), \
-            mock.patch.object(channel, "_ENTRIES", entries):
+    # a small constant splits the products into several element blocks
+    with mock.patch.object(channel, "_ENTRIES", entries):
         ch = ChannelSet(direct=direct, ap_ris=ap_ris, ris_iu=ris_iu,
                         carrier_freq_hz=ch.carrier_freq_hz)
     if zero_iu:
@@ -481,24 +528,36 @@ def test_link_gains_match_per_vector_definition(k, l, m, n, zero_iu,
                                rtol=1e-12, atol=1e-12 * scale)
 
 
-def test_link_table_operands_grow_with_k_not_k_squared(monkeypatch):
-    # every product the table makes has a left operand of at most
-    # max(K, _ROWS) rows and _ENTRIES entries, at any K
-    shapes = []
-    matvec = numerics.matvec_hermitian
-
-    def recording(h, x):
-        shapes.append(np.shape(x))
-        return matvec(h, x)
-
-    monkeypatch.setattr(numerics, "matvec_hermitian", recording)
-    k = 12
-    ch = _rand_channelset(np.random.default_rng(9), k=k, l=2, m=20_000, n=2)
-    assert ch.link_gains.shape == (3, k, k)
-    assert shapes
-    for rows, cols in shapes:
-        assert rows <= max(k, channel._ROWS)
-        assert rows * cols <= channel._ENTRIES
+@pytest.mark.parametrize("kept, n", ((False, 2), (True, 256)))
+@pytest.mark.parametrize("k", (12, 24))
+def test_link_table_temporaries_stay_block_sized(no_link, kept, n, k):
+    # built from prebuilt arrays (a caller's dense link, or the kept factor),
+    # the table holds, beyond itself and the one-byte finiteness mask of the
+    # largest scanned input, only a few temporaries of about _ENTRIES
+    # entries: no unblocked (K, M) array, and not the (K, K, N) channels of
+    # every served IU at once
+    l, m = 2, 20_000
+    rng = np.random.default_rng(9)
+    direct, ris_iu = _rand_complex(rng, k, n), _rand_complex(rng, l, k, m)
+    if kept:
+        topo = NetworkTopology(
+            ap=[0.0, 0.0, 10.0], riss=[[5.0 + j, 10.0, 5.0] for j in range(l)],
+            ius=[[3.0 + i, 4.0, 1.5] for i in range(k)])
+        ap_ris = channel._fixed_link(topo, 15e9, 2.0, m, n)
+        scanned = ris_iu.size
+    else:
+        ap_ris = _rand_complex(rng, l, m, n)
+        scanned = max(ris_iu.size, ap_ris.size)
+    tracemalloc.start()
+    try:
+        ch = ChannelSet(direct=direct, ap_ris=ap_ris, ris_iu=ris_iu,
+                        carrier_freq_hz=15e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ch.link_gains.shape == (l + 1, k, k)
+    extra = peak - ch.link_gains.nbytes - scanned
+    assert extra < 8 * channel._ENTRIES * 16, extra
 
 
 def test_effective_channel_ignores_unselected_ris():
