@@ -4,26 +4,21 @@ Geometry-deterministic line-of-sight model: every coefficient of a link is
 sqrt(pathloss) * exp(-j*omega*d) built from the link's center-to-center
 distance, so all antennas/elements of one link share magnitude and phase.
 Element spacing therefore never enters; randomness comes from IU placement
-only. The AP and the surfaces never move, so the AP -> RIS (feeder) link
-is built, checked finite and frozen once per deployment (_fixed_link):
-every realization of a sweep point shares it. It is kept as its factor
-A_l = U_l W_l, U_l (M, r) and W_l (r, N); under this model r = 1, with
-U_l = c_l 1_M and W_l = 1_N^T. ChannelSet.ap_ris is then a read-only
-zero-stride (L, M, N) view of the coefficients, which costs no memory; a
-factor whose link is not one coefficient per surface is exposed as its
-exact product U_l W_l.
+only. The AP -> RIS (feeder) link of surface l is thus one coefficient
+c_l: ChannelSet.ap_ris is the read-only zero-stride (L, M, N) view of the
+L coefficients, built with the rest of each realization and costing no
+memory.
 
 On top of that: a ChannelSet forms, once, every IU's MRT beam on every
 link it could use (direct, or through a RIS co-phased for it) and keeps
 the power each beam delivers at every IU; the K x K gain matrix of any
-association is a gather from that table. Per RIS the table contracts
-with the factor first: over cache-sized blocks of elements, the unit
-co-phasing coefficients of all K IUs are formed once and one
-(K, block) x (block, K r) product with U_l accumulates every IU's
-cascade co-phased for every IU, a (K, K, r) array. Each served IU's
-(K, N) channel slab is then its (K, r) slice times W_l plus the direct
-channels. A dense link given by the caller is its own factor (U_l = A_l,
-r = N, no W_l) and takes the same path.
+association is a gather from that table. Per RIS the table works on the
+link's (M, r) element side (see ChannelSet): over cache-sized blocks of
+elements, the unit co-phasing coefficients of all K IUs are formed once
+and one (K, block) x (block, K r) product accumulates every IU's cascade
+co-phased for every IU, a (K, K, r) array. Each served IU's
+(K, N) channel slab is then its (K, r) slice plus the direct channels,
+which broadcasts along the antennas when r = 1.
 """
 
 from dataclasses import dataclass, field
@@ -39,10 +34,6 @@ _MIN_DISTANCE = 1e-3
 # (128 kB, cache-sized). Memory then grows with K, not K * M.
 _ENTRIES = 1 << 13
 
-# (key, link, factor) of the last AP -> RIS link built in this process;
-# see _fixed_link. One entry, so a sweep holds one point's link at a time.
-_link = (None, None, None)
-
 
 @dataclass(frozen=True)
 class ChannelSet:
@@ -53,6 +44,10 @@ class ChannelSet:
     unit-amplitude profile that puts i's cascade in phase with
     direct[i, 0]. Column i is NaN where i's own channel on that link is
     zero. All arrays are read-only, so the table cannot go stale.
+
+    An ap_ris with zero stride along the antenna axis is constant along
+    it, so only its first antenna column, ap_ris[:, :, :1], is read and
+    checked finite (r = 1). Any other ap_ris is read whole (r = N).
     """
 
     direct: np.ndarray   # (K, N) AP -> IU
@@ -74,9 +69,10 @@ class ChannelSet:
         l, m = a.shape[0], a.shape[1]
         if r.shape != (l, k, m):
             raise DimensionError(f"ris_iu must be ({l}, {k}, {m}), got {r.shape}")
-        for name, arr in (("direct", d), ("ap_ris", a), ("ris_iu", r)):
-            # the fixed AP -> RIS link was checked when it was built
-            if arr is not _link[1] and not _all_finite(arr):
+        # element side (L, M, r) of the links; see the class docstring
+        u = a[:, :, :1] if a.strides[2] == 0 else a
+        for name, arr in (("direct", d), ("ap_ris", u), ("ris_iu", r)):
+            if not _all_finite(arr):
                 raise NumericError(f"{name} contains non-finite entries")
         for name, arr in (("direct", d), ("ap_ris", a), ("ris_iu", r)):
             arr.setflags(write=False)
@@ -85,18 +81,12 @@ class ChannelSet:
         for i in range(k):
             gains[0, :, i] = _beam_gains(d, i)
         lead = _unit(d[:, 0])
-        # A_l = U_l W_l: the kept link's factor, or a given link as itself
-        us, ws = _link[2] if a is _link[1] else (a, None)
         for li in range(l):
-            w = None if ws is None else ws[li]
-            cascade = _cascade(us[li], w, r[li])
+            cascade = _cascade(u[li], r[li])
             cascade *= lead[:, None]
-            if w is not None:
-                w = np.conj(w)
             for j in range(k):
                 # every IU's channel through RIS li co-phased for IU j
-                h = cascade[:, j] if w is None else cascade[:, j] @ w
-                gains[li + 1, :, j] = _beam_gains(h + d, j)
+                gains[li + 1, :, j] = _beam_gains(cascade[:, j] + d, j)
         gains.setflags(write=False)
         object.__setattr__(self, "link_gains", gains)
 
@@ -162,7 +152,9 @@ def synthesize_channels(topo, cfg):
     direct = np.empty((k, n), dtype=np.complex128)
     for i, d in enumerate(topo.ap_iu_distances()):
         direct[i, :] = _coefficient(d, f, alpha)
-    ap_ris = _fixed_link(topo, f, alpha, m, n)
+    c = np.array([_coefficient(d, f, alpha)
+                  for d in topo.ap_ris_distances()], dtype=np.complex128)
+    ap_ris = np.broadcast_to(c[:, None, None], (l, m, n))
     ris_iu = np.empty((l, k, m), dtype=np.complex128)
     d_lk = topo.ris_iu_distances()
     for j in range(l):
@@ -178,69 +170,36 @@ def _coefficient(d, f, alpha):
     return np.sqrt(pathloss(d, f, alpha)) * np.exp(-1j * omega * d)
 
 
-def _fixed_link(topo, f, alpha, m, n):
-    """The (L, M, N) AP -> RIS link of topo's AP and surfaces, read-only:
-    a zero-stride view when each surface's link is one coefficient (U_l
-    constant along M, W_l along N), else the product U W. Its factor is
-    kept beside it for the link-gain table.
-
-    The key is every value the link is built from and nothing else, so
-    every point of a power sweep (or a user-count sweep) shares one link
-    per process. The previous link is released before the next one is
-    built. A link with non-finite entries raises and is not kept.
-    """
-    global _link
-    key = (tuple(topo.ap.tolist()), tuple(map(tuple, topo.riss.tolist())),
-           f, alpha, m, n)
-    if _link[0] == key:
-        return _link[1]
-    _link = (None, None, None)
-    u, w = _build_link(topo, f, alpha, m, n)
-    if not (_all_finite(u) and _all_finite(w)):
-        raise NumericError("ap_ris contains non-finite entries")
-    u.setflags(write=False)
-    w.setflags(write=False)
-    if np.all(u == u[:, :1]) and np.all(w == w[:, :, :1]):
-        # every entry of link l is one coefficient, U_l[0] W_l[:, 0]: its
-        # zero-stride view is the whole link
-        link = np.broadcast_to(u[:, :1] @ w[:, :, :1], (len(u), m, n))
-    else:
-        link = u @ w
-        link.setflags(write=False)
-    _link = (key, link, (u, w))
-    return link
-
-
-def _build_link(topo, f, alpha, m, n):
-    """Factor (U, W) of the AP -> RIS link, A_l = U_l W_l: U (L, M, 1)
-    holds link l's coefficient at every element and W (L, 1, N) is 1."""
-    c = np.array([_coefficient(d, f, alpha)
-                  for d in topo.ap_ris_distances()], dtype=np.complex128)
-    u = np.repeat(c[:, None, None], m, axis=1)
-    return u, np.ones((len(c), 1, n), dtype=np.complex128)
-
-
 def _all_finite(arr):
-    return bool(np.all(np.isfinite(arr)))
+    """No NaN or +-inf entry in complex arr, checked by min and max, which
+    propagate both, so without an input-sized mask. An axis of zero
+    stride repeats one entry and is read once; a contiguous last axis is
+    read as interleaved float64, about three times faster than .real and
+    .imag."""
+    arr = arr[tuple(slice(None) if s else slice(1) for s in arr.strides)]
+    parts = ((arr.view(np.float64),) if arr.strides[-1] == arr.itemsize
+             else (arr.real, arr.imag))
+    return all(np.isfinite(p.min(initial=0.0))
+               and np.isfinite(p.max(initial=0.0)) for p in parts)
 
 
-def _cascade(u, w, ris_iu):
+def _cascade(u, ris_iu):
     """(K, K, r) array whose [i, j] is IU i's cascade through one RIS,
     co-phased for IU j but before the turn to j's direct phase, on the
-    element side U of the RIS's link A = U W (W None: U is A itself).
+    element side u (M, r) of the RIS's link: its first antenna column
+    (r = 1) when the link is constant along the antennas, else the link.
 
-    [i, j, q] = sum_e ris_iu[i, e] conj(phase[j, e] U[e, q]), phase[j, e]
-    the unit coefficient of (conj(A[e, 0]) ris_iu[j, e]), summed over
+    [i, j, q] = sum_e ris_iu[i, e] conj(phase[j, e] u[e, q]), phase[j, e]
+    the unit coefficient of (conj(u[e, 0]) ris_iu[j, e]), summed over
     element blocks of one (K, block) x (block, K r) product each.
     """
     k, rank = ris_iu.shape[0], u.shape[1]
     step = max(1, _ENTRIES // max(k * rank, 1))
-    ap0 = np.conj(u[:, 0] if w is None else u @ w[:, 0])
     out = np.zeros((k, k * rank), dtype=np.complex128)
     for m0 in range(0, len(u), step):
         blk = slice(m0, m0 + step)
         ub, every = u[blk], ris_iu[:, blk]
-        phase = _unit(ap0[blk] * every)
+        phase = _unit(np.conj(ub[:, 0]) * every)
         v = phase.T[:, :, None] * ub[:, None, :]
         out += every @ np.conjugate(v, out=v).reshape(len(ub), k * rank)
     return out.reshape(k, k, rank)

@@ -1,6 +1,4 @@
-import gc
 import tracemalloc
-import weakref
 from unittest import mock
 
 import numpy as np
@@ -203,12 +201,6 @@ def test_channel_arrays_are_read_only():
 
 # -- the fixed AP -> RIS link -------------------------------------------------
 
-@pytest.fixture
-def no_link(monkeypatch):
-    # start from an empty link cache; the link kept before is put back after
-    monkeypatch.setattr(channel, "_link", (None, None, None))
-
-
 def _link_formula(topo, cfg):
     # element by element: every antenna-element pair of AP -> RIS link l
     # carries the coefficient of the AP-RIS l center distance
@@ -224,14 +216,14 @@ def _link_formula(topo, cfg):
     return out
 
 
-def test_topologies_of_one_point_share_one_read_only_link(no_link):
+def test_topologies_of_one_point_share_one_read_only_link():
     cfg = ScenarioConfig(num_antennas=3, num_ius=2, num_riss=2,
                          ris_elements_y=2, ris_elements_z=3)
     rng = np.random.default_rng(5)
     first = synthesize_channels(sample_topology(cfg, rng), cfg)
     second = synthesize_channels(sample_topology(cfg, rng), cfg)
     assert not np.array_equal(first.direct, second.direct)
-    assert second.ap_ris is first.ap_ris
+    np.testing.assert_array_equal(second.ap_ris, first.ap_ris)
     assert not first.ap_ris.flags.writeable
     # a change to any input of the link rebuilds it from the formula
     topo = sample_topology(cfg, rng)
@@ -247,49 +239,26 @@ def test_topologies_of_one_point_share_one_read_only_link(no_link):
         kept = synthesize_channels(topo, cfg).ap_ris
         np.testing.assert_array_equal(kept, _link_formula(topo, cfg))
         rebuilt = synthesize_channels(t, c).ap_ris
-        assert rebuilt is not kept and not rebuilt.flags.writeable
+        assert not rebuilt.flags.writeable
         np.testing.assert_array_equal(rebuilt, _link_formula(t, c))
 
 
-def test_non_finite_link_is_rejected_however_it_is_made(no_link, monkeypatch):
-    topo, cfg, ch = _physical_channelset(k=2, l=2)
-    assert ch.ap_ris is channel._link[1]
-    # the kept link itself passes, unscanned
-    ChannelSet(direct=ch.direct, ap_ris=ch.ap_ris, ris_iu=ch.ris_iu,
-               carrier_freq_hz=ch.carrier_freq_hz)
-    for bad in (np.nan, np.inf):
-        ap_ris = ch.ap_ris.copy()  # a writable copy of the kept link
-        ap_ris[1, 0, 0] = bad
-        with pytest.raises(NumericError,
-                           match="ap_ris contains non-finite entries"):
-            ChannelSet(direct=ch.direct, ap_ris=ap_ris, ris_iu=ch.ris_iu,
-                       carrier_freq_hz=ch.carrier_freq_hz)
-    # a built link whose factor has a non-finite entry fails the same way
-    # and is not kept
-    build = channel._build_link
-    for side, bad in ((0, np.nan), (1, np.inf)):
-        def broken(*args):
-            factor = build(*args)
-            factor[side][0, 0, 0] = bad
-            return factor
-
-        monkeypatch.setattr(channel, "_link", (None, None, None))
-        monkeypatch.setattr(channel, "_build_link", broken)
-        with pytest.raises(NumericError,
-                           match="ap_ris contains non-finite entries"):
-            synthesize_channels(topo, cfg)
-        assert channel._link == (None, None, None)
-
-
-def test_a_changed_key_releases_the_old_link(no_link):
-    topo, cfg, ch = _physical_channelset(k=1, l=2)
-    old = weakref.ref(ch.ap_ris)
-    del ch
-    gc.collect()
-    assert old() is not None  # still kept for the next realization
-    synthesize_channels(topo, cfg.with_updates(num_antennas=5))
-    gc.collect()
-    assert old() is None
+def test_non_finite_link_is_rejected_however_it_is_made():
+    _, _, ch = _physical_channelset(k=2, l=2)
+    coefficients = np.array(ch.ap_ris[:, :1, :1])
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        # a bad coefficient under a zero-stride view, or a bad entry of a
+        # writable dense link, in C or Fortran order
+        view = coefficients.copy()
+        view[1] = bad
+        dense = np.array(ch.ap_ris)
+        dense[1, 0, 0] = bad
+        for ap_ris in (np.broadcast_to(view, ch.ap_ris.shape), dense,
+                       np.asfortranarray(dense)):
+            with pytest.raises(NumericError,
+                               match="ap_ris contains non-finite entries"):
+                ChannelSet(direct=ch.direct, ap_ris=ap_ris, ris_iu=ch.ris_iu,
+                           carrier_freq_hz=ch.carrier_freq_hz)
 
 
 def _assert_tables_agree(got, ref, rtol=1e-10):
@@ -308,58 +277,48 @@ def _rand_complex(rng, *shape):
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 5), l=st.integers(0, 3), m=st.integers(0, 6),
-       n=st.integers(1, 5), rank=st.integers(1, 5), zero_iu=st.booleans(),
+       n=st.integers(1, 5), zero_iu=st.booleans(),
        entries=st.sampled_from((channel._ENTRIES, 1, 7, 20)),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(k=3, l=0, m=4, n=3, rank=1, zero_iu=False,
+@example(k=3, l=0, m=4, n=3, zero_iu=False,
          entries=channel._ENTRIES, seed=1)  # no surfaces
-@example(k=3, l=2, m=0, n=3, rank=2, zero_iu=False,
+@example(k=3, l=2, m=0, n=3, zero_iu=False,
          entries=channel._ENTRIES, seed=2)  # no elements
-@example(k=3, l=2, m=0, n=3, rank=1, zero_iu=True,
-         entries=channel._ENTRIES, seed=3)
-@example(k=4, l=2, m=6, n=4, rank=4, zero_iu=False,
-         entries=channel._ENTRIES, seed=4)  # full rank
-@example(k=2, l=3, m=5, n=5, rank=1, zero_iu=True,
-         entries=channel._ENTRIES, seed=5)
-# rank 2 over element blocks of 3, 3, 2 (K * r = 6 entries per element)
-@example(k=3, l=2, m=8, n=4, rank=2, zero_iu=False, entries=20, seed=6)
+@example(k=3, l=2, m=0, n=3, zero_iu=True, entries=channel._ENTRIES, seed=3)
+@example(k=2, l=3, m=5, n=5, zero_iu=True, entries=channel._ENTRIES, seed=5)
+# element blocks of 6, 2 (K * r = 3 entries per element)
+@example(k=3, l=2, m=8, n=4, zero_iu=False, entries=20, seed=6)
 # K * r above the entry count: one element per product
-@example(k=4, l=1, m=5, n=3, rank=3, zero_iu=True, entries=7, seed=7)
-def test_factored_link_table_equals_dense_link_table(k, l, m, n, rank,
-                                                     zero_iu, entries, seed):
-    # a kept link of any rank r <= N gives the table of its dense product,
-    # however its elements are blocked
+@example(k=4, l=1, m=5, n=3, zero_iu=True, entries=7, seed=7)
+@example(k=2, l=2, m=3, n=2, zero_iu=False, entries=1, seed=8)
+def test_zero_stride_link_table_equals_dense_link_table(k, l, m, n, zero_iu,
+                                                        entries, seed):
+    # a link constant along the antennas, given as a zero-stride view,
+    # gives the table of its dense copy, however its elements are blocked
     rng = np.random.default_rng(seed)
-    r = min(rank, n)
-    u, w = _rand_complex(rng, l, m, r), _rand_complex(rng, l, r, n)
     direct, ris_iu = _rand_complex(rng, k, n), _rand_complex(rng, l, k, m)
     if zero_iu:
         direct[0] = 0.0
         ris_iu[:, 0] = 0.0
-    topo = NetworkTopology(
-        ap=[0.0, 0.0, 10.0], riss=[[5.0 + j, 10.0, 5.0] for j in range(l)],
-        ius=[[3.0 + i, 4.0, 1.5] for i in range(k)])
-    with mock.patch.object(channel, "_link", (None, None, None)), \
-            mock.patch.object(channel, "_build_link",
-                              lambda *args: (u.copy(), w.copy())):
-        # only the kept view's identity matters here: it selects the factor
-        kept = channel._fixed_link(topo, 15e9, 2.0, m, n)
+    for link in (_rand_complex(rng, l, m, 1), _rand_complex(rng, l, 1, 1)):
+        view = np.broadcast_to(link, (l, m, n))
+        assert view.strides[2] == 0
         with mock.patch.object(channel, "_ENTRIES", entries):
-            factored = ChannelSet(direct=direct, ap_ris=kept, ris_iu=ris_iu,
-                                  carrier_freq_hz=15e9)
-    dense = ChannelSet(direct=direct, ap_ris=u @ w, ris_iu=ris_iu,
-                       carrier_freq_hz=15e9)
-    if zero_iu:
-        assert np.all(np.isnan(factored.link_gains[:, :, 0]))
-    _assert_tables_agree(factored.link_gains, dense.link_gains)
+            got = ChannelSet(direct=direct, ap_ris=view, ris_iu=ris_iu,
+                             carrier_freq_hz=15e9)
+        dense = ChannelSet(direct=direct, ap_ris=np.array(view),
+                           ris_iu=ris_iu, carrier_freq_hz=15e9)
+        if zero_iu:
+            assert np.all(np.isnan(got.link_gains[:, :, 0]))
+        _assert_tables_agree(got.link_gains, dense.link_gains)
 
 
-def test_default_realizations_match_their_dense_link(no_link):
+def test_default_realizations_match_their_dense_link():
     cfg = ScenarioConfig()
     rng = np.random.default_rng(11)
     for _ in range(3):
         ch = synthesize_channels(sample_topology(cfg, rng), cfg)
-        assert ch.ap_ris is channel._link[1]
+        assert ch.ap_ris.strides[2] == 0
         dense = np.array(ch.ap_ris)
         assert dense.shape == (cfg.num_riss, cfg.num_elements,
                                cfg.num_antennas)
@@ -368,44 +327,21 @@ def test_default_realizations_match_their_dense_link(no_link):
         _assert_tables_agree(ch.link_gains, ref.link_gains)
 
 
-def test_kept_link_of_a_non_constant_factor_is_its_exact_product(
-        no_link, monkeypatch):
-    # only a link of one coefficient per surface is exposed as a zero-stride
-    # view; any other factor's link is its product U_l W_l
-    topo, cfg, ch = _physical_channelset(k=2, l=2, n=3, m_side=2)
-    assert ch.ap_ris.strides[1:] == (0, 0)
-    rng = np.random.default_rng(21)
-    u = _rand_complex(rng, 2, cfg.num_elements, 1)
-    w = _rand_complex(rng, 2, 1, cfg.num_antennas)
-    monkeypatch.setattr(channel, "_link", (None, None, None))
-    monkeypatch.setattr(channel, "_build_link",
-                        lambda *args: (u.copy(), w.copy()))
-    ch = synthesize_channels(topo, cfg)
-    assert ch.ap_ris is channel._link[1]
-    assert not ch.ap_ris.flags.writeable
-    np.testing.assert_array_equal(np.array(ch.ap_ris), u @ w)
-    dense = ChannelSet(direct=ch.direct, ap_ris=u @ w, ris_iu=ch.ris_iu,
-                       carrier_freq_hz=ch.carrier_freq_hz)
-    _assert_tables_agree(ch.link_gains, dense.link_gains)
-
-
-def test_default_channel_set_allocates_less_than_one_dense_surface(no_link):
+def test_default_channel_set_allocates_less_than_one_dense_surface():
     # the link is a zero-stride view of its L coefficients, and the table
-    # runs over element blocks: neither the first build nor a later one
-    # allocates an (M, N) array, let alone the (L, M, N) link
+    # runs over element blocks: no (M, N) array is allocated, let alone
+    # the (L, M, N) link
     cfg = ScenarioConfig()
     limit = cfg.num_elements * cfg.num_antennas * 16
-    rng = np.random.default_rng(12)
-    for build in ("first", "kept"):
-        topo = sample_topology(cfg, rng)
-        tracemalloc.start()
-        try:
-            ch = synthesize_channels(topo, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < limit, (build, peak)
-        assert ch.ap_ris.strides[1:] == (0, 0)
+    topo = sample_topology(cfg, np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        ch = synthesize_channels(topo, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, peak
+    assert ch.ap_ris.strides[1:] == (0, 0)
 
 
 def test_unit_phasor_equals_z_over_its_magnitude():
@@ -528,26 +464,22 @@ def test_link_gains_match_per_vector_definition(k, l, m, n, zero_iu,
                                rtol=1e-12, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("kept, n", ((False, 2), (True, 256)))
-@pytest.mark.parametrize("k", (12, 24))
-def test_link_table_temporaries_stay_block_sized(no_link, kept, n, k):
-    # built from prebuilt arrays (a caller's dense link, or the kept factor),
-    # the table holds, beyond itself and the one-byte finiteness mask of the
-    # largest scanned input, only a few temporaries of about _ENTRIES
-    # entries: no unblocked (K, M) array, and not the (K, K, N) channels of
-    # every served IU at once
+@pytest.mark.parametrize("view, n", ((False, 2), (True, 256)))
+@pytest.mark.parametrize("k", (12, 24, 48))
+def test_link_table_temporaries_stay_block_sized(view, n, k):
+    # built from prebuilt arrays (a caller's dense link, or the zero-stride
+    # view of L coefficients), the table holds, beyond itself, only a few
+    # temporaries of about _ENTRIES entries: no input-sized finiteness
+    # mask, no unblocked (K, M) array, and not the (K, K, N) channels of
+    # every served IU at once. At K = 48 a one-byte mask of ris_iu alone
+    # (1.9 MB) is above the bound.
     l, m = 2, 20_000
     rng = np.random.default_rng(9)
     direct, ris_iu = _rand_complex(rng, k, n), _rand_complex(rng, l, k, m)
-    if kept:
-        topo = NetworkTopology(
-            ap=[0.0, 0.0, 10.0], riss=[[5.0 + j, 10.0, 5.0] for j in range(l)],
-            ius=[[3.0 + i, 4.0, 1.5] for i in range(k)])
-        ap_ris = channel._fixed_link(topo, 15e9, 2.0, m, n)
-        scanned = ris_iu.size
+    if view:
+        ap_ris = np.broadcast_to(_rand_complex(rng, l, 1, 1), (l, m, n))
     else:
         ap_ris = _rand_complex(rng, l, m, n)
-        scanned = max(ris_iu.size, ap_ris.size)
     tracemalloc.start()
     try:
         ch = ChannelSet(direct=direct, ap_ris=ap_ris, ris_iu=ris_iu,
@@ -556,7 +488,7 @@ def test_link_table_temporaries_stay_block_sized(no_link, kept, n, k):
     finally:
         tracemalloc.stop()
     assert ch.link_gains.shape == (l + 1, k, k)
-    extra = peak - ch.link_gains.nbytes - scanned
+    extra = peak - ch.link_gains.nbytes
     assert extra < 8 * channel._ENTRIES * 16, extra
 
 

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from fr3ris import _kernels, channel, experiment
+from fr3ris import _kernels, experiment
 from fr3ris.config import ScenarioConfig
 from fr3ris.errors import ConfigError
 from fr3ris.experiment import (SweepResult, emit_csv, format_csv,
@@ -176,36 +176,6 @@ def test_parallel_sweep_matches_serial(monkeypatch):
     parallel = sweep(cfg, "power")
     assert np.array_equal(serial.mean, parallel.mean)
     assert np.array_equal(serial.stderr, parallel.stderr)
-
-
-def test_a_power_sweep_builds_and_scans_the_link_once(monkeypatch):
-    # the AP -> RIS link depends on no sweep variable but the deployment's:
-    # 15 realizations over 5 power points build it, and scan its factor,
-    # once
-    monkeypatch.setattr(channel, "_link", (None, None, None))
-    monkeypatch.delenv("FR3_THREADS", raising=False)
-    built, scanned = [], []
-    build, scan = channel._build_link, channel._all_finite
-
-    def building(*args):
-        built.append(build(*args))
-        return built[-1]
-
-    def scanning(arr):
-        scanned.append(arr)
-        return scan(arr)
-
-    monkeypatch.setattr(channel, "_build_link", building)
-    monkeypatch.setattr(channel, "_all_finite", scanning)
-    cfg = _cfg(schemes=("matching", "random"),
-               power_sweep_dbm=(10.0, 13.0, 16.0, 19.0, 23.0))
-    sweep(cfg, "power")
-    assert len(built) == 1
-    for factor in built[0]:
-        assert sum(arr is factor for arr in scanned) == 1
-    # besides the factor's two arrays, each realization scans its direct
-    # and RIS -> IU channels
-    assert len(scanned) == 2 + 2 * 5 * cfg.realizations
 
 
 @pytest.mark.parametrize("rounds, calls", [(1, 5), (2, 5), (3, 9)])
