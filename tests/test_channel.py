@@ -291,10 +291,11 @@ def _rand_complex(rng, *shape):
 # K * r above the entry count: one element per product
 @example(k=4, l=1, m=5, n=3, zero_iu=True, entries=7, seed=7)
 @example(k=2, l=2, m=3, n=2, zero_iu=False, entries=1, seed=8)
-def test_zero_stride_link_table_equals_dense_link_table(k, l, m, n, zero_iu,
-                                                        entries, seed):
-    # a link constant along the antennas, given as a zero-stride view,
-    # gives the table of its dense copy, however its elements are blocked
+def test_factored_link_table_equals_dense_link_table(k, l, m, n, zero_iu,
+                                                     entries, seed):
+    # a link constant along the antennas, given as a zero-stride view, is
+    # read as its (L, M, 1) factor and gives the table of its dense copy,
+    # however its elements are blocked
     rng = np.random.default_rng(seed)
     direct, ris_iu = _rand_complex(rng, k, n), _rand_complex(rng, l, k, m)
     if zero_iu:
@@ -325,6 +326,28 @@ def test_default_realizations_match_their_dense_link():
         ref = ChannelSet(direct=ch.direct, ap_ris=dense, ris_iu=ch.ris_iu,
                          carrier_freq_hz=ch.carrier_freq_hz)
         _assert_tables_agree(ch.link_gains, ref.link_gains)
+
+
+def test_kept_link_of_a_non_constant_factor_is_its_exact_product():
+    # a link that varies over the elements is kept as given, whether it is
+    # a zero-stride view of its (L, M, 1) factor or a rank-one product
+    # U_l W_l that varies along the antennas too
+    _, cfg, ch = _physical_channelset(k=2, l=2, n=3, m_side=2)
+    assert ch.ap_ris.strides[1:] == (0, 0)
+    rng = np.random.default_rng(21)
+    u = _rand_complex(rng, 2, cfg.num_elements, 1)
+    w = _rand_complex(rng, 2, 1, cfg.num_antennas)
+    for link in (np.broadcast_to(u, ch.ap_ris.shape), u @ w):
+        kept = ChannelSet(direct=ch.direct, ap_ris=link, ris_iu=ch.ris_iu,
+                          carrier_freq_hz=ch.carrier_freq_hz)
+        assert kept.ap_ris is link
+        assert not kept.ap_ris.flags.writeable
+        dense = np.array(link)
+        np.testing.assert_array_equal(kept.ap_ris, dense)
+        ref = ChannelSet(direct=ch.direct, ap_ris=dense, ris_iu=ch.ris_iu,
+                         carrier_freq_hz=ch.carrier_freq_hz)
+        _assert_tables_agree(kept.link_gains, ref.link_gains)
+        _assert_tables_agree(kept.link_gains, _link_gains_per_vector(kept))
 
 
 def test_default_channel_set_allocates_less_than_one_dense_surface():
