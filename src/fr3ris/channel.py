@@ -4,10 +4,10 @@ Geometry-deterministic line-of-sight model: every coefficient of a link is
 sqrt(pathloss) * exp(-j*omega*d) built from the link's center-to-center
 distance, so all antennas/elements of one link share magnitude and phase.
 Element spacing therefore never enters; randomness comes from IU placement
-only. The AP -> RIS (feeder) link of surface l is thus one coefficient
-c_l: ChannelSet.ap_ris is the read-only zero-stride (L, M, N) view of the
-L coefficients, built with the rest of each realization and costing no
-memory.
+only. Each link is thus one coefficient: K direct, L feeder (AP -> RIS)
+and L x K reflector (RIS -> IU) ones. synthesize_channels returns the
+three link arrays as read-only zero-stride views of their coefficients,
+(K, N), (L, M, N) and (L, K, M), which cost no memory.
 
 On top of that: a ChannelSet forms, once, every IU's MRT beam on every
 link it could use (direct, or through a RIS co-phased for it) and keeps
@@ -45,9 +45,12 @@ class ChannelSet:
     direct[i, 0]. Column i is NaN where i's own channel on that link is
     zero. All arrays are read-only, so the table cannot go stale.
 
-    An ap_ris with zero stride along the antenna axis is constant along
-    it, so only its first antenna column, ap_ris[:, :, :1], is read and
-    checked finite (r = 1). Any other ap_ris is read whole (r = N).
+    Each link array may be dense or a zero-stride view, such as the views
+    of their coefficients that synthesize_channels builds; an axis of zero
+    stride is checked finite once. An ap_ris with zero stride
+    along the antenna axis is constant along it, so the table reads only
+    its first antenna column, ap_ris[:, :, :1] (r = 1). Any other ap_ris
+    is read whole (r = N).
     """
 
     direct: np.ndarray   # (K, N) AP -> IU
@@ -58,7 +61,7 @@ class ChannelSet:
     link_gains: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = np.ascontiguousarray(self.direct, dtype=np.complex128)
+        d = np.asarray(self.direct, dtype=np.complex128)
         a = np.asarray(self.ap_ris, dtype=np.complex128)
         r = np.asarray(self.ris_iu, dtype=np.complex128)
         if d.ndim != 2:
@@ -93,10 +96,6 @@ class ChannelSet:
     @property
     def num_ius(self):
         return self.direct.shape[0]
-
-    @property
-    def num_antennas(self):
-        return self.direct.shape[1]
 
     @property
     def num_riss(self):
@@ -149,17 +148,17 @@ def synthesize_channels(topo, cfg):
     alpha = cfg.pathloss_exponent
     n, m = cfg.num_antennas, cfg.num_elements
     k, l = topo.num_ius, topo.num_riss
-    direct = np.empty((k, n), dtype=np.complex128)
-    for i, d in enumerate(topo.ap_iu_distances()):
-        direct[i, :] = _coefficient(d, f, alpha)
-    c = np.array([_coefficient(d, f, alpha)
-                  for d in topo.ap_ris_distances()], dtype=np.complex128)
-    ap_ris = np.broadcast_to(c[:, None, None], (l, m, n))
-    ris_iu = np.empty((l, k, m), dtype=np.complex128)
-    d_lk = topo.ris_iu_distances()
-    for j in range(l):
-        for i in range(k):
-            ris_iu[j, i, :] = _coefficient(d_lk[j, i], f, alpha)
+
+    def coefficients(distances):
+        return np.array([_coefficient(d, f, alpha) for d in distances.flat],
+                        dtype=np.complex128).reshape(distances.shape)
+
+    direct = np.broadcast_to(
+        coefficients(topo.ap_iu_distances())[:, None], (k, n))
+    ap_ris = np.broadcast_to(
+        coefficients(topo.ap_ris_distances())[:, None, None], (l, m, n))
+    ris_iu = np.broadcast_to(
+        coefficients(topo.ris_iu_distances())[:, :, None], (l, k, m))
     return ChannelSet(direct=direct, ap_ris=ap_ris, ris_iu=ris_iu,
                       carrier_freq_hz=f)
 
@@ -171,16 +170,14 @@ def _coefficient(d, f, alpha):
 
 
 def _all_finite(arr):
-    """No NaN or +-inf entry in complex arr, checked by min and max, which
-    propagate both, so without an input-sized mask. An axis of zero
-    stride repeats one entry and is read once; a contiguous last axis is
-    read as interleaved float64, about three times faster than .real and
-    .imag."""
+    """No NaN or +-inf entry in complex arr, checked by min and max of its
+    real and imaginary parts, which propagate both, so without an
+    input-sized mask. An axis of zero stride repeats one entry and is read
+    once."""
     arr = arr[tuple(slice(None) if s else slice(1) for s in arr.strides)]
-    parts = ((arr.view(np.float64),) if arr.strides[-1] == arr.itemsize
-             else (arr.real, arr.imag))
     return all(np.isfinite(p.min(initial=0.0))
-               and np.isfinite(p.max(initial=0.0)) for p in parts)
+               and np.isfinite(p.max(initial=0.0))
+               for p in (arr.real, arr.imag))
 
 
 def _cascade(u, ris_iu):
@@ -198,7 +195,9 @@ def _cascade(u, ris_iu):
     out = np.zeros((k, k * rank), dtype=np.complex128)
     for m0 in range(0, len(u), step):
         blk = slice(m0, m0 + step)
-        ub, every = u[blk], ris_iu[:, blk]
+        # BLAS needs a unit stride; older numpy runs its own matmul loop
+        # on a zero-stride operand, slower and rounding differently
+        ub, every = u[blk], np.ascontiguousarray(ris_iu[:, blk])
         phase = _unit(np.conj(ub[:, 0]) * every)
         v = phase.T[:, :, None] * ub[:, None, :]
         out += every @ np.conjugate(v, out=v).reshape(len(ub), k * rank)

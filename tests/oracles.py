@@ -5,8 +5,9 @@ dense grids, deliberately sharing no code with the package internals. The
 two exceptions are former implementations kept as references:
 `armijo_inner_oracle` and `exhaustive_loop_oracle`, which scores through the
 package's own gain gather and sum rate so that its result can be compared
-with `==`. The helpers at the end are evaluators that only tests call;
-they check their inputs with the package's own validators.
+with `==`. The helpers near the end are evaluators that only tests call;
+they check their inputs with the package's own validators. Last come the
+seeded random inputs that several test modules share.
 """
 
 import cmath
@@ -17,6 +18,7 @@ import numpy as np
 
 from fr3ris import _kernels
 from fr3ris.association import Association, _check_utilities
+from fr3ris.channel import ChannelSet, GainMatrix
 from fr3ris.power_sca import surrogate_gradient
 from fr3ris.rate import _check_power, association_sum_rate
 from fr3ris.topology import as_position
@@ -333,3 +335,29 @@ def find_blocking_pair(u, assoc):
             if cur < 0 or u[k, l] > u[cur, l]:
                 return (k, l)
     return None
+
+
+# -- random inputs ----------------------------------------------------------
+
+def rand_complex(rng, *shape):
+    """Standard complex normal array: real parts drawn first, then
+    imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def rand_channelset(rng, k, l, m, n):
+    """ChannelSet of dense standard complex normal links, drawn in the
+    order direct, ap_ris, ris_iu."""
+    return ChannelSet(direct=rand_complex(rng, k, n),
+                      ap_ris=rand_complex(rng, l, m, n),
+                      ris_iu=rand_complex(rng, l, k, m),
+                      carrier_freq_hz=15e9)
+
+
+def smooth_instance(rng, k):
+    """GainMatrix whose noise is far above its gains. That keeps the
+    surrogate curvature below about 1e-2 per axis, so a 200-step grid
+    localizes its maximum well inside a 1e-6 comparison tolerance."""
+    g = rng.uniform(0.1, 0.8, size=(k, k))
+    noise = rng.uniform(20.0, 30.0, size=k)
+    return GainMatrix(g=g, noise_power=noise)

@@ -13,8 +13,8 @@ import time
 import numpy as np
 
 from oracles import (find_blocking_pair, grid_max, interference,
-                     random_feasible_points, rate_oracle, surrogate_batch,
-                     surrogate_objective)
+                     random_feasible_points, rate_oracle, smooth_instance,
+                     surrogate_batch, surrogate_objective)
 from fr3ris.association import match_deferred_acceptance
 from fr3ris.channel import GainMatrix
 from fr3ris.config import ScenarioConfig
@@ -34,15 +34,6 @@ def _report(capsys, number, ok, detail, elapsed, budget_s):
 def _instance(rng, k):
     g = rng.uniform(0.1, 2.0, size=(k, k))
     noise = rng.uniform(0.3, 1.0, size=k)
-    return GainMatrix(g=g, noise_power=noise)
-
-
-def _smooth_instance(rng, k):
-    # noise far above the gains keeps the surrogate curvature below
-    # ~1e-2 per axis, so a 200-step grid localizes its maximum to well
-    # inside the 1e-6 comparison tolerance
-    g = rng.uniform(0.1, 0.8, size=(k, k))
-    noise = rng.uniform(20.0, 30.0, size=k)
     return GainMatrix(g=g, noise_power=noise)
 
 
@@ -138,7 +129,7 @@ def test_criterion_04_inner_solver_matches_grid(capsys):
     worst = 0.0
     sizes = [1, 2, 3] * 6 + [2, 3]
     for k in sizes:
-        gm = _smooth_instance(rng, k)
+        gm = smooth_instance(rng, k)
         p_max = float(rng.uniform(0.8, 1.5))
         p_t = random_feasible_points(rng, 1, k, p_max)[0]
         rho = surrogate_gradient(gm, p_t)

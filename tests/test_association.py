@@ -19,7 +19,8 @@ from fr3ris.channel import synthesize_channels
 
 from oracles import (blocking_pair_oracle, empty_association,
                      exhaustive_loop_oracle, find_blocking_pair,
-                     gain_matrix_oracle, rate_oracle, served_ris)
+                     gain_matrix_oracle, rand_channelset, rate_oracle,
+                     served_ris)
 
 
 class _PickLast:
@@ -31,14 +32,6 @@ class _PickLast:
 class _PickFirst:
     def integers(self, n):
         return 0
-
-
-def _rand_channelset(rng, k=3, l=3, m=4, n=4):
-    return ChannelSet(
-        direct=rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)),
-        ap_ris=rng.standard_normal((l, m, n)) + 1j * rng.standard_normal((l, m, n)),
-        ris_iu=rng.standard_normal((l, k, m)) + 1j * rng.standard_normal((l, k, m)),
-        carrier_freq_hz=15e9)
 
 
 def test_association_constraint_validation():
@@ -79,7 +72,7 @@ def test_association_helpers():
 
 def test_utility_matrix_empty_when_no_ris():
     rng = np.random.default_rng(80)
-    ch = _rand_channelset(rng, k=2, l=0, m=1)
+    ch = rand_channelset(rng, k=2, l=0, m=1, n=4)
     u = utility_matrix(ch, np.array([0.1, 0.1]), 1e-3)
     assert u.shape == (2, 0)
 
@@ -91,9 +84,9 @@ def test_utility_matrix_agrees_with_rate_module():
     from fr3ris.rate import sum_rate
     rng = np.random.default_rng(81)
     for k_count, l_count in [(2, 2), (1, 3), (5, 3), (4, 1), (3, 4)]:
-        ch = _rand_channelset(rng, k=k_count, l=l_count,
-                              m=int(rng.integers(1, 6)),
-                              n=int(rng.integers(1, 5)))
+        ch = rand_channelset(rng, k=k_count, l=l_count,
+                             m=int(rng.integers(1, 6)),
+                             n=int(rng.integers(1, 5)))
         p = rng.uniform(0.0, 0.5, k_count)
         noise = 10.0 ** rng.uniform(-3, 0)
         u = utility_matrix(ch, p, noise)
@@ -112,7 +105,7 @@ def test_utility_matrix_zero_channel_fails_like_the_pairs_it_reads():
     # K = 2 every pair that leaves IU 0 on its direct link does
     rng = np.random.default_rng(82)
     for k_count in (1, 2):
-        ch = _rand_channelset(rng, k=k_count, l=2)
+        ch = rand_channelset(rng, k=k_count, l=2, m=4, n=4)
         direct = ch.direct.copy()
         direct[0] = 0.0
         ch = ChannelSet(direct=direct, ap_ris=ch.ap_ris, ris_iu=ch.ris_iu,
@@ -263,7 +256,7 @@ def test_feasible_association_counts():
 
 def test_exhaustive_enumerates_and_dominates():
     rng = np.random.default_rng(85)
-    ch = _rand_channelset(rng, k=2, l=2)
+    ch = rand_channelset(rng, k=2, l=2, m=4, n=4)
     p = np.array([0.2, 0.1])
     best, best_rate = exhaustive_association(ch, p, 1e-2)
     # manual enumeration over all 7 candidates
@@ -302,7 +295,7 @@ def _every_association(k, l):
 @example(k=4, l=2, m=2, n=4, seed=3)  # more IUs than surfaces
 def test_utilities_and_exhaustive_match_brute_force(k, l, m, n, seed):
     rng = np.random.default_rng(seed)
-    ch = _rand_channelset(rng, k=k, l=l, m=m, n=n)
+    ch = rand_channelset(rng, k=k, l=l, m=m, n=n)
     p = rng.uniform(0.1, 1.0, k)
     noise = 10.0 ** rng.uniform(-1, 1)
 
@@ -328,7 +321,7 @@ def test_utilities_and_exhaustive_match_brute_force(k, l, m, n, seed):
 
 def test_exhaustive_cap():
     rng = np.random.default_rng(86)
-    ch = _rand_channelset(rng, k=3, l=3)
+    ch = rand_channelset(rng, k=3, l=3, m=4, n=4)
     with pytest.raises(SizeError):
         exhaustive_association(ch, np.full(3, 0.1), 1e-2, cap=33)
     best, _ = exhaustive_association(ch, np.full(3, 0.1), 1e-2, cap=34)
@@ -346,7 +339,7 @@ def test_exhaustive_equals_the_per_candidate_loop(k, l, m, n, twin, seed):
     # twin: surface 1 copies surface 0, so every candidate using one has
     # an exact tie using the other, and the earlier one must win
     rng = np.random.default_rng(seed)
-    ch = _rand_channelset(rng, k=k, l=l, m=m, n=n)
+    ch = rand_channelset(rng, k=k, l=l, m=m, n=n)
     if twin and l >= 2:
         ap_ris, ris_iu = ch.ap_ris.copy(), ch.ris_iu.copy()
         ap_ris[1], ris_iu[1] = ap_ris[0], ris_iu[0]
@@ -387,7 +380,7 @@ def test_exhaustive_tie_goes_to_the_first_candidate(monkeypatch, entries):
     # candidate is a chunk of its own.
     monkeypatch.setattr(association, "_GATHER_ENTRIES", entries)
     rng = np.random.default_rng(90)
-    ch = _rand_channelset(rng, k=1, l=1, m=3, n=1)
+    ch = rand_channelset(rng, k=1, l=1, m=3, n=1)
     ch = ChannelSet(direct=ch.direct, ap_ris=np.repeat(ch.ap_ris, 2, axis=0),
                     ris_iu=np.repeat(ch.ris_iu, 2, axis=0),
                     carrier_freq_hz=ch.carrier_freq_hz)
@@ -407,7 +400,7 @@ def test_exhaustive_zero_channel_names_the_loops_iu(direct_zero):
     # zero as well; the all-direct candidate reads it first, so the loop
     # names IU 2, not the lower IU 1.
     rng = np.random.default_rng(89)
-    ch = _rand_channelset(rng, k=3, l=2, m=1, n=2)
+    ch = rand_channelset(rng, k=3, l=2, m=1, n=2)
     direct, ap_ris = ch.direct.copy(), ch.ap_ris.copy()
     ris_iu = ch.ris_iu.copy()
     direct[1] = [0.0, 1.0]
@@ -437,7 +430,7 @@ def test_exhaustive_zero_channel_names_the_loops_iu(direct_zero):
     (np.full(3, 0.2), np.inf, NumericError),
 ])
 def test_exhaustive_rejects_bad_inputs_like_the_loop(p, noise, error):
-    ch = _rand_channelset(np.random.default_rng(91), k=3, l=2)
+    ch = rand_channelset(np.random.default_rng(91), k=3, l=2, m=4, n=4)
     with pytest.raises(error):
         exhaustive_loop_oracle(ch, p, noise)
     with pytest.raises(error):
@@ -460,7 +453,7 @@ def test_exhaustive_gathers_within_the_chunk_bound(monkeypatch):
 
     monkeypatch.setattr(association, "_candidate_gains", recording)
     rng = np.random.default_rng(92)
-    ch = _rand_channelset(rng, k=k, l=2, m=3, n=3)
+    ch = rand_channelset(rng, k=k, l=2, m=3, n=3)
     p = rng.uniform(0.0, 1.0, k)
     best, rate = exhaustive_association(ch, p, 0.5)
     assert sum(shape[0] for shape in shapes) == count_feasible_associations(

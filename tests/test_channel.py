@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -16,15 +17,7 @@ from fr3ris.rate import association_sum_rate
 from fr3ris.topology import NetworkTopology, sample_topology
 
 from fr3ris import channel, numerics
-from oracles import gain_matrix_oracle
-
-
-def _rand_channelset(rng, k=2, l=1, m=3, n=4):
-    return ChannelSet(
-        direct=rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)),
-        ap_ris=rng.standard_normal((l, m, n)) + 1j * rng.standard_normal((l, m, n)),
-        ris_iu=rng.standard_normal((l, k, m)) + 1j * rng.standard_normal((l, k, m)),
-        carrier_freq_hz=15e9)
+from oracles import gain_matrix_oracle, rand_channelset, rand_complex
 
 
 def _cophase_profile(ch, l, s):
@@ -133,7 +126,7 @@ def test_channelset_shape_validation():
     with pytest.raises(NumericError):
         ChannelSet(direct=np.array([[np.nan]]), ap_ris=np.ones((0, 1, 1)),
                    ris_iu=np.ones((0, 1, 1)), carrier_freq_hz=1e9)
-    _rand_channelset(rng)  # well-formed passes
+    rand_channelset(rng, k=2, l=1, m=3, n=4)  # well-formed passes
 
 
 # -- co-phased links ---------------------------------------------------------
@@ -182,7 +175,7 @@ def test_unassigned_ris_keeps_zero_phase():
     # an idle RIS takes no part: the gains equal those of the same
     # network without it
     rng = np.random.default_rng(43)
-    ch = _rand_channelset(rng, k=2, l=2)
+    ch = rand_channelset(rng, k=2, l=2, m=3, n=4)
     without = ChannelSet(direct=ch.direct, ap_ris=ch.ap_ris[1:],
                          ris_iu=ch.ris_iu[1:],
                          carrier_freq_hz=ch.carrier_freq_hz)
@@ -193,7 +186,7 @@ def test_unassigned_ris_keeps_zero_phase():
 
 def test_channel_arrays_are_read_only():
     # an in-place write would leave the gain table stale
-    ch = _rand_channelset(np.random.default_rng(44))
+    ch = rand_channelset(np.random.default_rng(44), k=2, l=1, m=3, n=4)
     for arr in (ch.direct, ch.ap_ris, ch.ris_iu, ch.link_gains):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
@@ -245,20 +238,27 @@ def test_topologies_of_one_point_share_one_read_only_link():
 
 def test_non_finite_link_is_rejected_however_it_is_made():
     _, _, ch = _physical_channelset(k=2, l=2)
-    coefficients = np.array(ch.ap_ris[:, :1, :1])
-    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-        # a bad coefficient under a zero-stride view, or a bad entry of a
-        # writable dense link, in C or Fortran order
-        view = coefficients.copy()
-        view[1] = bad
-        dense = np.array(ch.ap_ris)
-        dense[1, 0, 0] = bad
-        for ap_ris in (np.broadcast_to(view, ch.ap_ris.shape), dense,
-                       np.asfortranarray(dense)):
-            with pytest.raises(NumericError,
-                               match="ap_ris contains non-finite entries"):
-                ChannelSet(direct=ch.direct, ap_ris=ap_ris, ris_iu=ch.ris_iu,
-                           carrier_freq_hz=ch.carrier_freq_hz)
+    links = {"direct": ch.direct, "ap_ris": ch.ap_ris, "ris_iu": ch.ris_iu}
+    coefficients = {"direct": ch.direct[:, :1], "ap_ris": ch.ap_ris[:, :1, :1],
+                    "ris_iu": ch.ris_iu[:, :, :1]}
+    for name, column in coefficients.items():
+        link = links[name]
+        assert column.size < link.size
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            # a bad last coefficient under a zero-stride view, or a bad
+            # entry of a writable dense link, in C or Fortran order
+            view = np.array(column)
+            view.flat[-1] = bad
+            made = [np.broadcast_to(view, link.shape)]
+            for where in ((1,) + (0,) * (link.ndim - 1), (-1,) * link.ndim):
+                dense = np.array(link)
+                dense[where] = bad
+                made += [dense, np.asfortranarray(dense)]
+            for arr in made:
+                with pytest.raises(NumericError,
+                                   match=f"{name} contains non-finite entries"):
+                    ChannelSet(**{**links, name: arr},
+                               carrier_freq_hz=ch.carrier_freq_hz)
 
 
 def _assert_tables_agree(got, ref, rtol=1e-10):
@@ -269,10 +269,6 @@ def _assert_tables_agree(got, ref, rtol=1e-10):
     finite = ~np.isnan(ref)
     assert np.all(np.abs(got - ref)[finite]
                   <= (rtol * np.broadcast_to(scale, ref.shape))[finite])
-
-
-def _rand_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,25 +289,34 @@ def _rand_complex(rng, *shape):
 @example(k=2, l=2, m=3, n=2, zero_iu=False, entries=1, seed=8)
 def test_factored_link_table_equals_dense_link_table(k, l, m, n, zero_iu,
                                                      entries, seed):
-    # a link constant along the antennas, given as a zero-stride view, is
-    # read as its (L, M, 1) factor and gives the table of its dense copy,
-    # however its elements are blocked
+    # links constant along an axis, given as zero-stride views (a feeder
+    # link read as its (L, M, 1) factor, a direct link of one coefficient
+    # per IU, a reflector link of one per surface and IU), give the table
+    # of their dense copies, however the elements are blocked
     rng = np.random.default_rng(seed)
-    direct, ris_iu = _rand_complex(rng, k, n), _rand_complex(rng, l, k, m)
+    direct, ris_iu = rand_complex(rng, k, n), rand_complex(rng, l, k, m)
+    feeders = (rand_complex(rng, l, m, 1), rand_complex(rng, l, 1, 1))
+    direct_column = rand_complex(rng, k, 1)
+    ris_iu_column = rand_complex(rng, l, k, 1)
     if zero_iu:
-        direct[0] = 0.0
-        ris_iu[:, 0] = 0.0
-    for link in (_rand_complex(rng, l, m, 1), _rand_complex(rng, l, 1, 1)):
+        for d, r in ((direct, ris_iu), (direct_column, ris_iu_column)):
+            d[0] = 0.0
+            r[:, 0] = 0.0
+    directs = (direct, np.broadcast_to(direct_column, (k, n)))
+    ris_ius = (ris_iu, np.broadcast_to(ris_iu_column, (l, k, m)))
+    assert directs[1].strides[1] == 0 and ris_ius[1].strides[2] == 0
+    for link in feeders:
         view = np.broadcast_to(link, (l, m, n))
         assert view.strides[2] == 0
-        with mock.patch.object(channel, "_ENTRIES", entries):
-            got = ChannelSet(direct=direct, ap_ris=view, ris_iu=ris_iu,
-                             carrier_freq_hz=15e9)
-        dense = ChannelSet(direct=direct, ap_ris=np.array(view),
-                           ris_iu=ris_iu, carrier_freq_hz=15e9)
-        if zero_iu:
-            assert np.all(np.isnan(got.link_gains[:, :, 0]))
-        _assert_tables_agree(got.link_gains, dense.link_gains)
+        for d, r in itertools.product(directs, ris_ius):
+            with mock.patch.object(channel, "_ENTRIES", entries):
+                got = ChannelSet(direct=d, ap_ris=view, ris_iu=r,
+                                 carrier_freq_hz=15e9)
+            dense = ChannelSet(direct=np.array(d), ap_ris=np.array(view),
+                               ris_iu=np.array(r), carrier_freq_hz=15e9)
+            if zero_iu:
+                assert np.all(np.isnan(got.link_gains[:, :, 0]))
+            _assert_tables_agree(got.link_gains, dense.link_gains)
 
 
 def test_default_realizations_match_their_dense_link():
@@ -335,8 +340,8 @@ def test_kept_link_of_a_non_constant_factor_is_its_exact_product():
     _, cfg, ch = _physical_channelset(k=2, l=2, n=3, m_side=2)
     assert ch.ap_ris.strides[1:] == (0, 0)
     rng = np.random.default_rng(21)
-    u = _rand_complex(rng, 2, cfg.num_elements, 1)
-    w = _rand_complex(rng, 2, 1, cfg.num_antennas)
+    u = rand_complex(rng, 2, cfg.num_elements, 1)
+    w = rand_complex(rng, 2, 1, cfg.num_antennas)
     for link in (np.broadcast_to(u, ch.ap_ris.shape), u @ w):
         kept = ChannelSet(direct=ch.direct, ap_ris=link, ris_iu=ch.ris_iu,
                           carrier_freq_hz=ch.carrier_freq_hz)
@@ -367,11 +372,32 @@ def test_default_channel_set_allocates_less_than_one_dense_surface():
     assert ch.ap_ris.strides[1:] == (0, 0)
 
 
+@pytest.mark.parametrize("k, l, side", ((5, 3, 100), (20, 4, 100)))
+def test_synthesized_links_are_coefficient_views(k, l, side):
+    # every link is a read-only zero-stride view of its coefficients, so
+    # synthesis never holds as much as one dense (L, K, M) reflector link
+    cfg = ScenarioConfig(num_ius=k, num_riss=l, ris_elements_y=side,
+                         ris_elements_z=side)
+    m = cfg.num_elements
+    topo = sample_topology(cfg, np.random.default_rng(13))
+    tracemalloc.start()
+    try:
+        ch = synthesize_channels(topo, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < l * k * m * 16, peak
+    for arr, axes in ((ch.direct, (1,)), (ch.ap_ris, (1, 2)),
+                      (ch.ris_iu, (2,))):
+        assert not arr.flags.writeable
+        assert all(arr.strides[a] == 0 for a in axes), arr.strides
+
+
 def test_unit_phasor_equals_z_over_its_magnitude():
     # nonzero z: z / |z| in value (array_equal: a signed zero is equal);
     # exact +-0 keeps np.angle's convention through exp(j angle(z))
     rng = np.random.default_rng(31)
-    z = (_rand_complex(rng, 4, 500)
+    z = (rand_complex(rng, 4, 500)
          * 10.0 ** rng.uniform(-150.0, 150.0, (4, 500)))
     z[0, :3] = (-2.0, 3.0j, -1e-200j)  # on an axis
     assert np.array_equal(channel._unit(z), z / np.abs(z))
@@ -388,7 +414,7 @@ def test_unit_phasor_equals_z_over_its_magnitude():
 
 def test_effective_channel_without_association_is_direct():
     rng = np.random.default_rng(44)
-    ch = _rand_channelset(rng)
+    ch = rand_channelset(rng, k=2, l=1, m=3, n=4)
     g = gains_for_association(ch, np.zeros((2, 1), dtype=int), 1e-11).g
     d = ch.direct
     for i in range(2):
@@ -400,7 +426,7 @@ def test_effective_channel_without_association_is_direct():
 
 def test_effective_channel_matches_naive_loop():
     rng = np.random.default_rng(45)
-    ch = _rand_channelset(rng, k=2, l=2, m=3, n=4)
+    ch = rand_channelset(rng, k=2, l=2, m=3, n=4)
     assert ch.link_gains.shape == (3, 2, 2)
     for l in range(-1, 2):
         for i in range(2):
@@ -461,7 +487,7 @@ def _link_gains_per_vector(ch):
          entries=7, seed=7)
 def test_link_gains_match_per_vector_definition(k, l, m, n, zero_iu,
                                                  zero_through, entries, seed):
-    ch = _rand_channelset(np.random.default_rng(seed), k=k, l=l, m=m, n=n)
+    ch = rand_channelset(np.random.default_rng(seed), k=k, l=l, m=m, n=n)
     direct, ap_ris, ris_iu = (ch.direct.copy(), ch.ap_ris.copy(),
                               ch.ris_iu.copy())
     if zero_iu:
@@ -498,11 +524,11 @@ def test_link_table_temporaries_stay_block_sized(view, n, k):
     # (1.9 MB) is above the bound.
     l, m = 2, 20_000
     rng = np.random.default_rng(9)
-    direct, ris_iu = _rand_complex(rng, k, n), _rand_complex(rng, l, k, m)
+    direct, ris_iu = rand_complex(rng, k, n), rand_complex(rng, l, k, m)
     if view:
-        ap_ris = np.broadcast_to(_rand_complex(rng, l, 1, 1), (l, m, n))
+        ap_ris = np.broadcast_to(rand_complex(rng, l, 1, 1), (l, m, n))
     else:
-        ap_ris = _rand_complex(rng, l, m, n)
+        ap_ris = rand_complex(rng, l, m, n)
     tracemalloc.start()
     try:
         ch = ChannelSet(direct=direct, ap_ris=ap_ris, ris_iu=ris_iu,
@@ -517,7 +543,7 @@ def test_link_table_temporaries_stay_block_sized(view, n, k):
 
 def test_effective_channel_ignores_unselected_ris():
     rng = np.random.default_rng(47)
-    ch = _rand_channelset(rng, k=2, l=2, m=3, n=4)
+    ch = rand_channelset(rng, k=2, l=2, m=3, n=4)
     gamma = np.array([[1, 0], [0, 0]])
     g = gains_for_association(ch, gamma, 1e-11).g
     # perturbing the unselected RIS's links changes nothing
@@ -535,7 +561,7 @@ def test_mrt_directions_are_unit_norm():
     # scaling every link out of the AP by c scales every gain by c^2; a
     # beam that were not normalized would scale them by c^4
     rng = np.random.default_rng(48)
-    ch = _rand_channelset(rng, k=3, l=2, m=4, n=5)
+    ch = rand_channelset(rng, k=3, l=2, m=4, n=5)
     gamma = np.array([[1, 0], [0, 1], [0, 0]])
     scaled = ChannelSet(direct=3.0 * ch.direct, ap_ris=3.0 * ch.ap_ris,
                         ris_iu=ch.ris_iu, carrier_freq_hz=ch.carrier_freq_hz)
@@ -571,7 +597,7 @@ def test_zero_direct_row_fails_only_associations_that_use_it():
     # IU 0 has no direct path: the set still builds, IU 0 on a surface
     # gets finite gains, and only an association leaving IU 0's beam on
     # the direct link fails
-    ch = _rand_channelset(np.random.default_rng(55), k=2, l=1, m=3, n=4)
+    ch = rand_channelset(np.random.default_rng(55), k=2, l=1, m=3, n=4)
     direct = ch.direct.copy()
     direct[0] = 0.0
     ch = ChannelSet(direct=direct, ap_ris=ch.ap_ris, ris_iu=ch.ris_iu,
@@ -591,7 +617,7 @@ def test_zero_direct_row_fails_only_associations_that_use_it():
 
 def test_gain_matrix_k1_equals_channel_energy():
     rng = np.random.default_rng(49)
-    ch = _rand_channelset(rng, k=1, l=1, m=3, n=4)
+    ch = rand_channelset(rng, k=1, l=1, m=3, n=4)
     gm = gains_for_association(ch, np.array([[1]]), 1e-11)
     h = ch.direct[0] + _through_loop(ch, 0, _cophase_profile(ch, 0, 0), 0)
     assert gm.g[0, 0] == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-12)
@@ -609,7 +635,7 @@ def test_orthogonal_channels_give_zero_cross_gain():
 
 @pytest.mark.parametrize("bad", [0.5, -1, np.nan, 2])
 def test_gains_reject_non_binary_entries(bad):
-    ch = _rand_channelset(np.random.default_rng(57), k=2, l=1)
+    ch = rand_channelset(np.random.default_rng(57), k=2, l=1, m=3, n=4)
     gamma = np.array([[bad], [0.0]])
     with pytest.raises(NumericError, match="gamma entries must be 0 or 1"):
         gains_for_association(ch, gamma, 1e-11)
@@ -620,7 +646,7 @@ def test_gains_reject_non_binary_entries(bad):
 @pytest.mark.parametrize("gamma", [np.array([[True], [False]]),
                                    np.array([[1.0], [0.0]])])
 def test_gains_accept_bool_and_float_zero_one(gamma):
-    ch = _rand_channelset(np.random.default_rng(57), k=2, l=1)
+    ch = rand_channelset(np.random.default_rng(57), k=2, l=1, m=3, n=4)
     np.testing.assert_array_equal(
         gains_for_association(ch, gamma, 1e-11).g,
         gains_for_association(ch, np.array([[1], [0]]), 1e-11).g)
@@ -630,7 +656,7 @@ def test_gain_matrix_matches_from_scratch_oracle():
     rng = np.random.default_rng(50)
     gamma = np.array([[0, 1], [1, 0]])
     for _ in range(10):
-        ch = _rand_channelset(rng, k=2, l=2, m=3, n=4)
+        ch = rand_channelset(rng, k=2, l=2, m=3, n=4)
         gm = gains_for_association(ch, gamma, 1e-11)
         ref = gain_matrix_oracle(ch.direct, ch.ap_ris, ch.ris_iu, gamma)
         np.testing.assert_allclose(gm.g, ref, rtol=1e-10)
@@ -641,7 +667,7 @@ def test_gain_matrix_matches_from_scratch_oracle():
        m=st.integers(1, 6), n=st.integers(1, 5),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_gains_match_loop_oracle_on_dense_channels(data, k, l, m, n, seed):
-    ch = _rand_channelset(np.random.default_rng(seed), k=k, l=l, m=m, n=n)
+    ch = rand_channelset(np.random.default_rng(seed), k=k, l=l, m=m, n=n)
     # the first K entries of a shuffle of the surfaces and K "no surface"
     # marks: one-to-one, with idle surfaces and direct-only IUs both common
     picks = data.draw(st.permutations(list(range(l)) + [-1] * k))[:k]
@@ -656,7 +682,7 @@ def test_gains_match_loop_oracle_on_dense_channels(data, k, l, m, n, seed):
 
 def test_cross_gain_uses_interferer_association():
     rng = np.random.default_rng(51)
-    ch = _rand_channelset(rng, k=2, l=1, m=3, n=4)
+    ch = rand_channelset(rng, k=2, l=1, m=3, n=4)
     gm = gains_for_association(ch, np.array([[1], [0]]), 1e-11)
     theta = _cophase_profile(ch, 0, 0)
     h0 = ch.direct[0] + _through_loop(ch, 0, theta, 0)
@@ -674,7 +700,7 @@ def test_cross_gain_uses_interferer_association():
 def test_mrt_diagonal_attains_cauchy_schwarz_bound():
     rng = np.random.default_rng(52)
     for _ in range(20):
-        ch = _rand_channelset(rng, k=3, l=2, m=3, n=4)
+        ch = rand_channelset(rng, k=3, l=2, m=3, n=4)
         gm = gains_for_association(ch, np.array([[1, 0], [0, 1], [0, 0]]),
                                    1e-11)
         for k, l in ((0, 0), (1, 1), (2, -1)):
@@ -687,7 +713,7 @@ def test_mrt_diagonal_attains_cauchy_schwarz_bound():
 
 def test_gains_for_association_validation():
     rng = np.random.default_rng(53)
-    ch = _rand_channelset(rng, k=2, l=2, m=3, n=4)
+    ch = rand_channelset(rng, k=2, l=2, m=3, n=4)
     with pytest.raises(DimensionError):  # one IU on two RISs
         gains_for_association(ch, np.array([[1, 1], [0, 0]]), 1e-11)
     with pytest.raises(DimensionError):  # not (K, L)
@@ -702,6 +728,6 @@ def test_gains_for_association_validation():
 
 def test_ris_serving_two_ius_rejected():
     rng = np.random.default_rng(54)
-    ch = _rand_channelset(rng, k=2, l=1, m=3, n=4)
+    ch = rand_channelset(rng, k=2, l=1, m=3, n=4)
     with pytest.raises(DimensionError):
         gains_for_association(ch, np.array([[1], [1]]), 1e-11)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import project_capped_simplex_oracle
+from oracles import project_capped_simplex_oracle, rand_complex
 from fr3ris import numerics
 from fr3ris._kernels import project_capped_simplex
 from fr3ris.errors import DimensionError
@@ -14,10 +14,6 @@ def _dot_oracle(a, b):
     for x, y in zip(a, b):
         acc += np.conj(x) * y
     return acc
-
-
-def _rand_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_matvec_hermitian_frozen_example():
@@ -32,8 +28,8 @@ def test_matvec_hermitian_matches_loop_oracle():
     for _ in range(25):
         m = int(rng.integers(1, 30))
         n = int(rng.integers(1, 30))
-        h = _rand_complex(rng, m, n)
-        x = _rand_complex(rng, m)
+        h = rand_complex(rng, m, n)
+        x = rand_complex(rng, m)
         ref = np.array([_dot_oracle(h[:, j], x) for j in range(n)])
         got = numerics.matvec_hermitian(h, x)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
@@ -66,8 +62,8 @@ def test_matvec_hermitian_rows_match_loop_oracle():
         rows = int(rng.integers(1, 8))
         m = int(rng.integers(1, 30))
         n = int(rng.integers(1, 30))
-        h = _rand_complex(rng, m, n)
-        x = _rand_complex(rng, rows, m)
+        h = rand_complex(rng, m, n)
+        x = rand_complex(rng, rows, m)
         ref = np.array([[_dot_oracle(h[:, j], x[r]) for j in range(n)]
                         for r in range(rows)])
         got = numerics.matvec_hermitian(h, x)

@@ -12,22 +12,14 @@ from fr3ris.power_sca import (INNER_MAX, INNER_TOL, sca_power, solve_inner,
 from fr3ris.rate import sum_rate
 
 from oracles import (armijo_inner_oracle, grid_max, random_feasible_points,
-                     sum_rate_batch, surrogate_batch, surrogate_objective,
-                     surrogate_rate_bound)
+                     smooth_instance, sum_rate_batch, surrogate_batch,
+                     surrogate_objective, surrogate_rate_bound)
 
 
 def _instance(rng, k=3, noise_lo=0.3, noise_hi=1.0):
     g = rng.uniform(0.05, 1.0, size=(k, k))
     g[np.diag_indices(k)] = rng.uniform(0.5, 2.0, size=k)
     noise = rng.uniform(noise_lo, noise_hi, size=k)
-    return GainMatrix(g=g, noise_power=noise)
-
-
-def _smooth_instance(rng, k):
-    # noise far above the gains keeps the surrogate curvature low enough
-    # that a 200-step grid localizes its maximum well inside 1e-6
-    g = rng.uniform(0.1, 0.8, size=(k, k))
-    noise = rng.uniform(20.0, 30.0, size=k)
     return GainMatrix(g=g, noise_power=noise)
 
 
@@ -146,7 +138,7 @@ def test_solve_inner_matches_grid_search():
     rng = np.random.default_rng(75)
     for _ in range(6):
         k = int(rng.integers(1, 4))
-        gm = _smooth_instance(rng, k)
+        gm = smooth_instance(rng, k)
         p_max = float(rng.uniform(0.8, 1.5))
         p_t = random_feasible_points(rng, 1, k, p_max)[0]
         rho = surrogate_gradient(gm, p_t)
