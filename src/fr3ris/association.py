@@ -5,7 +5,8 @@ Preference lists come from a static utility matrix u[k, l]: IU k's rate when
 it alone uses RIS l (everyone else on direct links) under the fixed power
 allocation. Freezing utilities this way keeps deferred acceptance in the
 textbook setting; full interference-coupled rates are still what the
-experiment reports for the chosen association.
+experiment reports for the chosen association. Utilities and exhaustive
+candidates are both scored in batches by rate.link_rates.
 """
 
 import itertools
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericError, SizeError
-from .channel import GainMatrix, check_binary
-from .rate import _check_power
+from .channel import check_binary
+from .rate import link_rates
 
 # Exhaustive scoring gathers at most about this many gains (8 bytes each)
 # per chunk of candidates, so its memory does not grow with their count.
@@ -64,29 +65,18 @@ class Association:
 def utility_matrix(channels, p_star, noise_power_w):
     """u[k, l]: IU k's own rate if RIS l serves it and nobody else uses a RIS.
 
-    Read straight from the link-gain table: IU k's signal is its beam's
-    gain through RIS l, link_gains[l + 1, k, k]; its interference is
-    row k of the direct-link gains without the diagonal.
+    The K L associations "IU k alone on RIS l" are scored in one batch by
+    rate.link_rates, and u[k, l] is IU k's entry of its association's
+    rates. A zero effective channel raises for the first such (k, l) in
+    row-major order, as gains_for_association does for that association.
     """
     k_count, l_count = channels.num_ius, channels.num_riss
-    if l_count == 0:
-        return np.zeros((k_count, 0))
-    table = channels.link_gains
     users = np.arange(k_count)
-    own = table[1:, users, users].T  # (K, L)
-    direct = table[0].copy()
-    direct[users, users] = 0.0
-    # a NaN column is an IU whose effective channel is zero on that link;
-    # the diagonal of the direct gains is never read, so with K = 1 a zero
-    # direct channel fails nothing
-    zero = np.isnan(own).any(axis=1) | np.isnan(direct).any(axis=0)
-    if zero.any():
-        raise NumericError(
-            f"effective channel of IU {np.flatnonzero(zero)[0]} is zero")
-    gm = GainMatrix(g=direct, noise_power=noise_power_w)
-    p = _check_power(gm, p_star)
-    interf = gm.g @ p + gm.noise_power
-    return np.log2(1.0 + p[:, None] * own / interf[:, None])
+    links = np.zeros((k_count, l_count, k_count), dtype=np.intp)
+    links[users, :, users] = np.arange(1, l_count + 1)
+    rates = link_rates(channels, links.reshape(-1, k_count), p_star,
+                       noise_power_w)
+    return rates.reshape(k_count, l_count, k_count)[users, :, users]
 
 
 def _check_utilities(u):
@@ -180,46 +170,26 @@ def exhaustive_association(channels, p_star, noise_power_w, cap=100_000):
     """Enumerate every feasible association, scoring each by the full
     coupled sum rate at p_star. Returns (best association, its sum rate).
 
-    Candidates are scored in one batched gather over the link-gain table,
-    in chunks of at most _GATHER_ENTRIES gathered gains: candidate c's
-    gain matrix is g[c, k, i] = link_gains[link_c[i], k, i], and its sum
-    rate takes rate.sum_rate's arithmetic, so rates and ties are those of
-    scoring each candidate alone. The first best candidate in enumeration
-    order wins. Inputs are checked once, as GainMatrix and sum_rate check
-    them; a candidate that reads a zero effective channel raises for the
-    first such candidate, naming its first such IU.
+    Candidates are scored by rate.link_rates in chunks of at most
+    _GATHER_ENTRIES gathered gains, so rates, ties and errors are those
+    of scoring each candidate alone. The first best candidate in
+    enumeration order wins.
     """
     k_count, l_count = channels.num_ius, channels.num_riss
     total = count_feasible_associations(k_count, l_count)
     if total > cap:
         raise SizeError(
             f"{total} feasible associations exceed the cap of {cap}")
-    table = channels.link_gains
-    gm = GainMatrix(g=np.zeros((k_count, k_count)), noise_power=noise_power_w)
-    p = _check_power(gm, p_star)
-    # every table entry is read by some candidate; NaN columns are the
-    # zero channels, reported per candidate below
-    if np.any(np.isinf(table)) or np.any(table < 0.0):
-        raise NumericError("gain entries must be finite and >= 0")
-    zero = np.isnan(table).any(axis=1)  # (L+1, K): link j of IU i
-    users = np.arange(k_count)
     per_chunk = max(1, _GATHER_ENTRIES // max(1, k_count * k_count))
     candidates = _candidate_links(k_count, l_count)
     best_link, best_rate = None, -np.inf
     while chunk := list(itertools.islice(candidates, per_chunk)):
         links = np.array(chunk, dtype=np.intp).reshape(len(chunk), k_count)
-        hit = zero[links, users]
-        if hit.any():
-            c = np.flatnonzero(hit.any(axis=1))[0]
-            raise NumericError(
-                f"effective channel of IU {np.flatnonzero(hit[c])[0]} is zero")
-        g = _candidate_gains(table, links)
-        diag = g[:, users, users]
-        interf = g @ p - diag * p + gm.noise_power
-        rates = np.log2(1.0 + p * diag / interf).sum(axis=1)
+        rates = link_rates(channels, links, p_star, noise_power_w).sum(axis=1)
         c = int(np.argmax(rates))
         if rates[c] > best_rate:
             best_link, best_rate = links[c], rates[c]
+    users = np.arange(k_count)
     gamma = np.zeros((k_count, l_count), dtype=np.int64)
     served = best_link > 0
     gamma[users[served], best_link[served] - 1] = 1
@@ -238,9 +208,3 @@ def _candidate_links(k_count, l_count):
                     link[k] = l
                 yield link
 
-
-def _candidate_gains(table, links):
-    """(C, K, K) gain matrices of C candidates (rows of links) gathered
-    from the link-gain table: g[c, k, i] = table[links[c, i], k, i]."""
-    users = np.arange(links.shape[1])
-    return table[links[:, None, :], users[:, None], users]

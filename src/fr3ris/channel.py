@@ -11,14 +11,14 @@ three link arrays as read-only zero-stride views of their coefficients,
 
 On top of that: a ChannelSet forms, once, every IU's MRT beam on every
 link it could use (direct, or through a RIS co-phased for it) and keeps
-the power each beam delivers at every IU; the K x K gain matrix of any
-association is a gather from that table. Per RIS the table works on the
-link's (M, r) element side (see ChannelSet): over cache-sized blocks of
-elements, the unit co-phasing coefficients of all K IUs are formed once
-and one (K, block) x (block, K r) product accumulates every IU's cascade
-co-phased for every IU, a (K, K, r) array. Each served IU's
-(K, N) channel slab is then its (K, r) slice plus the direct channels,
-which broadcasts along the antennas when r = 1.
+the power each beam delivers at every IU; the K x K gain matrices of any
+batch of associations are one gather from that table (gather_gains). Per
+RIS the table works on the link's (M, r) element side (see ChannelSet):
+over cache-sized blocks of elements, the unit co-phasing coefficients of
+all K IUs are formed once and one (K, block) x (block, K r) product
+accumulates every IU's cascade co-phased for every IU, a (K, K, r) array.
+Each served IU's (K, N) channel slab is then its (K, r) slice plus the
+direct channels, which broadcasts along the antennas when r = 1.
 """
 
 from dataclasses import dataclass, field
@@ -108,17 +108,19 @@ class ChannelSet:
 
 @dataclass(frozen=True)
 class GainMatrix:
-    """g[k, i]: power gain of interferer i's beam at IU k, plus noise."""
+    """g[k, i]: power gain of interferer i's beam at IU k, plus noise; or a
+    (C, K, K) stack of C such matrices that share one noise vector, checked
+    by the same rules (rate.link_rates builds one per batch)."""
 
-    g: np.ndarray            # (K, K)
+    g: np.ndarray            # (K, K) or (C, K, K)
     noise_power: np.ndarray  # (K,) watts
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=np.float64)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        if g.ndim not in (2, 3) or g.shape[-2] != g.shape[-1]:
             raise DimensionError(f"g must be square, got {g.shape}")
         noise = np.broadcast_to(
-            np.asarray(self.noise_power, dtype=np.float64), (g.shape[0],)).copy()
+            np.asarray(self.noise_power, dtype=np.float64), (g.shape[-1],)).copy()
         if not np.all(np.isfinite(g)) or np.any(g < 0.0):
             raise NumericError("gain entries must be finite and >= 0")
         if not np.all(np.isfinite(noise)) or np.any(noise <= 0.0):
@@ -128,7 +130,7 @@ class GainMatrix:
 
     @property
     def num_ius(self):
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
 
 def pathloss(d_m, freq_hz, exponent=2.0):
@@ -251,9 +253,22 @@ def gains_for_association(channels, assoc, noise_power_w):
             "association must be one-to-one: at most one RIS per IU and "
             "one IU per RIS")
     link = served @ np.arange(1, l_count + 1)
-    users = np.arange(k_count)
-    g = channels.link_gains[link, users[:, None], users]
-    zero = np.flatnonzero(np.isnan(g).any(axis=0))
-    if zero.size:
-        raise NumericError(f"effective channel of IU {zero[0]} is zero")
-    return GainMatrix(g=g, noise_power=noise_power_w)
+    return GainMatrix(g=gather_gains(channels, link[None])[0],
+                      noise_power=noise_power_w)
+
+
+def gather_gains(channels, links):
+    """(C, K, K) gain matrices of C associations, the rows of links (entry
+    i is 0 for IU i's direct link, l + 1 for RIS l): g[c, k, i] =
+    link_gains[links[c, i], k, i]. Raises for the first association that
+    reads a zero effective channel (a NaN column), naming its first such IU."""
+    links = np.asarray(links, dtype=np.intp)
+    table = channels.link_gains
+    users = np.arange(links.shape[1])
+    # zero[c, i]: the column association c reads for IU i is NaN
+    zero = np.isnan(table).any(axis=1)[links, users]
+    if zero.any():
+        c = np.flatnonzero(zero.any(axis=1))[0]
+        raise NumericError(
+            f"effective channel of IU {np.flatnonzero(zero[c])[0]} is zero")
+    return table[links[:, None, :], users[:, None], users]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericError
-from .rate import _check_power, sum_rate
+from .rate import _check_power, _interference, sum_rate
 
 # outer loop: stop when the true sum rate moves less than OUTER_TOL
 # bit/s/Hz, or after OUTER_MAX steps
@@ -43,9 +43,7 @@ class ScaTrace:
 def surrogate_gradient(gm, p_t):
     """Linearization weights rho[k, i] of the interference log at p_t:
     d/dp_i log2(I_k) = g_{k,i} / (I_k ln 2), zero on the diagonal."""
-    p_t = _check_power(gm, p_t)
-    diag = np.diag(gm.g)
-    interf = gm.g @ p_t - diag * p_t + gm.noise_power
+    _, interf = _interference(gm, _check_power(gm, p_t))
     if np.any(interf <= 0.0):
         raise NumericError("interference-plus-noise must be positive")
     rho = gm.g / (interf * _LN2)[:, None]

@@ -10,7 +10,7 @@ from fr3ris.association import (Association, count_feasible_associations,
                                 exhaustive_association, greedy_association,
                                 match_deferred_acceptance, random_association,
                                 utility_matrix)
-from fr3ris.channel import ChannelSet
+from fr3ris.channel import ChannelSet, gains_for_association
 from fr3ris.config import ScenarioConfig
 from fr3ris.errors import DimensionError, NumericError, SizeError
 from fr3ris.rate import association_sum_rate
@@ -80,7 +80,6 @@ def test_utility_matrix_empty_when_no_ris():
 def test_utility_matrix_agrees_with_rate_module():
     # the loop definition: IU k's rate in the full gain matrix of the
     # association that puts k alone on RIS l
-    from fr3ris.channel import gains_for_association
     from fr3ris.rate import sum_rate
     rng = np.random.default_rng(81)
     for k_count, l_count in [(2, 2), (1, 3), (5, 3), (4, 1), (3, 4)]:
@@ -96,8 +95,7 @@ def test_utility_matrix_agrees_with_rate_module():
                 gm = gains_for_association(
                     ch, Association.from_pairs([(k, l)], k_count, l_count),
                     noise)
-                assert u[k, l] == pytest.approx(
-                    sum_rate(gm, p).per_iu_rate[k], rel=0.0, abs=1e-12)
+                assert u[k, l] == sum_rate(gm, p).per_iu_rate[k]
 
 
 def test_utility_matrix_zero_channel_fails_like_the_pairs_it_reads():
@@ -115,6 +113,28 @@ def test_utility_matrix_zero_channel_fails_like_the_pairs_it_reads():
         else:
             with pytest.raises(NumericError, match="IU 0"):
                 utility_matrix(ch, np.ones(2), 1e-2)
+    # IU 1's channel through RIS 0 is zero (its direct channel [0, 1]
+    # meets the single element's [0, -1]) and IU 2's direct channel is
+    # zero. Pair (0, 0), the first in row-major order, already reads IU
+    # 2's direct channel, so the error names IU 2, not the lower IU 1.
+    ch = rand_channelset(rng, k=3, l=2, m=1, n=2)
+    direct, ap_ris = ch.direct.copy(), ch.ap_ris.copy()
+    ris_iu = ch.ris_iu.copy()
+    direct[1] = [0.0, 1.0]
+    ap_ris[0, 0] = [0.0, 1.0]
+    ris_iu[0, 1, 0] = -1.0
+    direct[2] = 0.0
+    ch = ChannelSet(direct=direct, ap_ris=ap_ris, ris_iu=ris_iu,
+                    carrier_freq_hz=15e9)
+    assert np.isnan(ch.link_gains[1, :, 1]).all()
+    with pytest.raises(NumericError) as first:
+        for k, l in itertools.product(range(3), range(2)):
+            gains_for_association(
+                ch, Association.from_pairs([(k, l)], 3, 2), 1e-2)
+    assert str(first.value) == "effective channel of IU 2 is zero"
+    with pytest.raises(NumericError) as got:
+        utility_matrix(ch, np.full(3, 0.2), 1e-2)
+    assert str(got.value) == str(first.value)
 
 
 def test_utility_matrix_favors_nearby_iu():
@@ -444,14 +464,15 @@ def test_exhaustive_gathers_within_the_chunk_bound(monkeypatch):
     bound = 13 * k * k
     monkeypatch.setattr(association, "_GATHER_ENTRIES", bound)
     shapes = []
-    gather = association._candidate_gains
+    from fr3ris.channel import gather_gains
 
-    def recording(table, links):
-        g = gather(table, links)
+    def recording(channels, links):
+        g = gather_gains(channels, links)
         shapes.append(g.shape)
         return g
 
-    monkeypatch.setattr(association, "_candidate_gains", recording)
+    # the scorer's gather, where rate.link_rates calls it
+    monkeypatch.setattr("fr3ris.rate.gather_gains", recording)
     rng = np.random.default_rng(92)
     ch = rand_channelset(rng, k=k, l=2, m=3, n=3)
     p = rng.uniform(0.0, 1.0, k)

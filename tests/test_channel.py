@@ -355,23 +355,6 @@ def test_kept_link_of_a_non_constant_factor_is_its_exact_product():
         _assert_tables_agree(kept.link_gains, _link_gains_per_vector(kept))
 
 
-def test_default_channel_set_allocates_less_than_one_dense_surface():
-    # the link is a zero-stride view of its L coefficients, and the table
-    # runs over element blocks: no (M, N) array is allocated, let alone
-    # the (L, M, N) link
-    cfg = ScenarioConfig()
-    limit = cfg.num_elements * cfg.num_antennas * 16
-    topo = sample_topology(cfg, np.random.default_rng(12))
-    tracemalloc.start()
-    try:
-        ch = synthesize_channels(topo, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < limit, peak
-    assert ch.ap_ris.strides[1:] == (0, 0)
-
-
 @pytest.mark.parametrize("k, l, side", ((5, 3, 100), (20, 4, 100)))
 def test_synthesized_links_are_coefficient_views(k, l, side):
     # every link is a read-only zero-stride view of its coefficients, so
