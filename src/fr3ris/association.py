@@ -1,82 +1,48 @@
 """IU-RIS association: stable matching plus greedy, random, and exhaustive
-baselines.
+baselines. Each returns an Association, a link vector (entry i is 0 for IU
+i's direct link, l + 1 for RIS l) from which the binary K x L gamma derives.
 
 Preference lists come from a static utility matrix u[k, l]: IU k's rate when
 it alone uses RIS l (everyone else on direct links) under the fixed power
-allocation. Freezing utilities this way keeps deferred acceptance in the
-textbook setting; full interference-coupled rates are still what the
-experiment reports for the chosen association. Utilities and exhaustive
-candidates are both scored in batches by rate.link_rates.
+allocation, read from one (L, K, K) stack of gain matrices. Freezing
+utilities this way keeps deferred acceptance in the textbook setting; full
+interference-coupled rates are still what the experiment reports for the
+chosen association. Exhaustive candidates are scored in batches by
+rate.link_rates.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NumericError, SizeError
-from .channel import check_binary
-from .rate import link_rates
+from .channel import Association, GainMatrix, check_zero_channels
+from .rate import _rates, link_rates
 
 # Exhaustive scoring gathers at most about this many gains (8 bytes each)
 # per chunk of candidates, so its memory does not grow with their count.
 _GATHER_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True)
-class Association:
-    """Binary K x L matrix; at most one RIS per IU and one IU per RIS."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma)
-        if g.ndim != 2:
-            raise DimensionError(f"gamma must be 2-d, got shape {g.shape}")
-        check_binary(g)
-        g = g.astype(np.int64)
-        if np.any(g.sum(axis=1) > 1):
-            raise NumericError("some IU is associated with multiple RISs")
-        if g.shape[1] and np.any(g.sum(axis=0) > 1):
-            raise NumericError("some RIS serves multiple IUs")
-        object.__setattr__(self, "gamma", g)
-        g.setflags(write=False)
-
-    @classmethod
-    def from_pairs(cls, pairs, num_ius, num_riss):
-        g = np.zeros((num_ius, num_riss), dtype=np.int64)
-        for k, l in pairs:
-            g[k, l] = 1
-        return cls(gamma=g)
-
-    @property
-    def num_ius(self):
-        return self.gamma.shape[0]
-
-    @property
-    def num_riss(self):
-        return self.gamma.shape[1]
-
-    def pairs(self):
-        return [(int(k), int(l)) for k, l in zip(*np.nonzero(self.gamma))]
-
-
 def utility_matrix(channels, p_star, noise_power_w):
     """u[k, l]: IU k's own rate if RIS l serves it and nobody else uses a RIS.
 
-    The K L associations "IU k alone on RIS l" are scored in one batch by
-    rate.link_rates, and u[k, l] is IU k's entry of its association's
-    rates. A zero effective channel raises for the first such (k, l) in
-    row-major order, as gains_for_association does for that association.
+    That rate reads only row k of its association's gain matrix: the direct
+    table's row k with (k, k) from RIS l. Matrix l of an (L, K, K) stack,
+    the direct table with RIS l's own gains on its diagonal, holds that row
+    for every k. A zero effective channel raises for the first such (k, l)
+    in row-major order, as gains_for_association does for it.
     """
     k_count, l_count = channels.num_ius, channels.num_riss
     users = np.arange(k_count)
     links = np.zeros((k_count, l_count, k_count), dtype=np.intp)
     links[users, :, users] = np.arange(1, l_count + 1)
-    rates = link_rates(channels, links.reshape(-1, k_count), p_star,
-                       noise_power_w)
-    return rates.reshape(k_count, l_count, k_count)[users, :, users]
+    check_zero_channels(channels, links.reshape(-1, k_count))
+    table = channels.link_gains
+    stack = np.repeat(table[:1], l_count, axis=0)
+    stack[:, users, users] = table[1:, users, users]
+    return _rates(GainMatrix(g=stack, noise_power=noise_power_w), p_star)[1].T
 
 
 def _check_utilities(u):
@@ -118,8 +84,10 @@ def match_deferred_acceptance(u):
                 free.append(cur)
                 break
         # list exhausted: IU stays on its direct link
-    pairs = [(k, l) for l, k in enumerate(holder) if k >= 0]
-    return Association.from_pairs(pairs, k_count, l_count)
+    # surfaces nobody holds (holder -1) write to a spare last entry
+    links = np.zeros(k_count + 1, dtype=np.intp)
+    links[holder] = np.arange(1, l_count + 1)
+    return Association(links=links[:-1], num_riss=l_count)
 
 
 def greedy_association(u, rng):
@@ -130,33 +98,27 @@ def greedy_association(u, rng):
     k_count, l_count = u.shape
     bids = {}
     for k in range(k_count):
-        best_l, best_val = -1, 0.0
-        for l in range(l_count):
-            if u[k, l] > best_val:
-                best_l, best_val = l, u[k, l]
-        if best_l >= 0:
-            bids.setdefault(best_l, []).append(k)
-    pairs = []
+        # argmax: the lowest RIS of the highest utility, if it is positive
+        if l_count and u[k].max() > 0.0:
+            bids.setdefault(int(u[k].argmax()), []).append(k)
+    links = np.zeros(k_count, dtype=np.intp)
     for l in sorted(bids):
         proposers = bids[l]
-        if len(proposers) == 1:
-            winner = proposers[0]
-        else:
-            winner = proposers[int(rng.integers(len(proposers)))]
-        pairs.append((winner, l))
-    return Association.from_pairs(pairs, k_count, l_count)
+        pick = int(rng.integers(len(proposers))) if len(proposers) > 1 else 0
+        links[proposers[pick]] = l + 1
+    return Association(links=links, num_riss=l_count)
 
 
 def random_association(num_ius, num_riss, rng):
     """Uniform partial assignment: random IU order, each picks among the
     still-free RISs or no RIS at all."""
-    free = list(range(num_riss))
-    pairs = []
+    free = list(range(1, num_riss + 1))
+    links = np.zeros(num_ius, dtype=np.intp)
     for k in rng.permutation(num_ius):
         pick = int(rng.integers(len(free) + 1))
         if pick < len(free):
-            pairs.append((int(k), free.pop(pick)))
-    return Association.from_pairs(pairs, num_ius, num_riss)
+            links[k] = free.pop(pick)
+    return Association(links=links, num_riss=num_riss)
 
 
 def count_feasible_associations(num_ius, num_riss):
@@ -178,8 +140,7 @@ def exhaustive_association(channels, p_star, noise_power_w, cap=100_000):
     k_count, l_count = channels.num_ius, channels.num_riss
     total = count_feasible_associations(k_count, l_count)
     if total > cap:
-        raise SizeError(
-            f"{total} feasible associations exceed the cap of {cap}")
+        raise SizeError(f"{total} feasible associations exceed the cap of {cap}")
     per_chunk = max(1, _GATHER_ENTRIES // max(1, k_count * k_count))
     candidates = _candidate_links(k_count, l_count)
     best_link, best_rate = None, -np.inf
@@ -189,17 +150,12 @@ def exhaustive_association(channels, p_star, noise_power_w, cap=100_000):
         c = int(np.argmax(rates))
         if rates[c] > best_rate:
             best_link, best_rate = links[c], rates[c]
-    users = np.arange(k_count)
-    gamma = np.zeros((k_count, l_count), dtype=np.int64)
-    served = best_link > 0
-    gamma[users[served], best_link[served] - 1] = 1
-    return Association(gamma=gamma), float(best_rate)
+    return Association(links=best_link, num_riss=l_count), float(best_rate)
 
 
 def _candidate_links(k_count, l_count):
-    """Every feasible association as its link vector, in enumeration
-    order: j served IUs, then combinations of IUs, then permutations of
-    RISs. Entry i is 0 for IU i's direct link and l + 1 for RIS l."""
+    """Every feasible association as its link vector, in enumeration order:
+    j served IUs, then combinations of IUs, then permutations of RISs."""
     for j in range(min(k_count, l_count) + 1):
         for ius in itertools.combinations(range(k_count), j):
             for riss in itertools.permutations(range(1, l_count + 1), j):

@@ -18,7 +18,8 @@ over cache-sized blocks of elements, the unit co-phasing coefficients of
 all K IUs are formed once and one (K, block) x (block, K r) product
 accumulates every IU's cascade co-phased for every IU, a (K, K, r) array.
 Each served IU's (K, N) channel slab is then its (K, r) slice plus the
-direct channels, which broadcasts along the antennas when r = 1.
+direct channels, which broadcasts along the antennas when r = 1. An
+Association is a link vector of such table indices, one per IU.
 """
 
 from dataclasses import dataclass, field
@@ -133,6 +134,58 @@ class GainMatrix:
         return self.g.shape[-1]
 
 
+_ONE_TO_ONE = ("association must be one-to-one: at most one RIS per IU and "
+               "one IU per RIS")
+
+
+@dataclass(frozen=True)
+class Association:
+    """One-to-one IU-RIS association as a read-only (K,) link vector: entry
+    i is 0 for IU i's direct link, l + 1 for RIS l. The constructor is the
+    one check of an association: integers in 0..num_riss, no RIS twice."""
+
+    links: np.ndarray
+    num_riss: int
+
+    def __post_init__(self):
+        links = np.asarray(self.links)
+        if links.ndim != 1:
+            raise DimensionError(f"links must be 1-d, got shape {links.shape}")
+        if links.dtype.kind not in "iu":
+            raise NumericError(f"links must be integers, got {links.dtype}")
+        links = links.astype(np.intp)
+        if np.any(links < 0) or np.any(links > self.num_riss):
+            raise NumericError(f"links must be in 0..{self.num_riss}")
+        if np.bincount(links)[1:].max(initial=0) > 1:
+            raise DimensionError(_ONE_TO_ONE)
+        links.setflags(write=False)
+        object.__setattr__(self, "links", links)
+
+    @classmethod
+    def from_gamma(cls, gamma):
+        """The association of a binary K x L gamma, gamma[k, l] = 1 if RIS
+        l serves IU k; bool and float 0/1 entries pass."""
+        g = np.asarray(gamma)
+        if g.ndim != 2:
+            raise DimensionError(f"gamma must be 2-d, got shape {g.shape}")
+        # not np.unique: it imports numpy.ma, about 12 ms per process
+        if not np.all((g == 0) | (g == 1)):
+            raise NumericError("gamma entries must be 0 or 1")
+        if np.any(g.sum(axis=1) > 1):
+            raise DimensionError(_ONE_TO_ONE)
+        return cls(links=g.astype(np.intp) @ np.arange(1, g.shape[1] + 1),
+                   num_riss=g.shape[1])
+
+    @property
+    def gamma(self):
+        """Read-only binary K x L matrix; row l + 1 of the shifted identity
+        marks RIS l, row 0 none."""
+        shifted = np.eye(self.num_riss + 1, self.num_riss, -1, dtype=np.int64)
+        g = shifted[self.links]
+        g.setflags(write=False)
+        return g
+
+
 def pathloss(d_m, freq_hz, exponent=2.0):
     """Linear power gain (c / 4 pi f)^2 * d^-exponent; free-space at exponent 2."""
     d = float(d_m)
@@ -227,48 +280,39 @@ def _beam_gains(h, i):
     return inner.real ** 2 + inner.imag ** 2
 
 
-def check_binary(gamma):
-    """Raise unless every entry of gamma is 0 or 1; bool and float 0/1
-    pass."""
-    # not np.unique: it imports numpy.ma, about 12 ms per process
-    if not np.all((gamma == 0) | (gamma == 1)):
-        raise NumericError("gamma entries must be 0 or 1")
-
-
 def gains_for_association(channels, assoc, noise_power_w):
     """K x K gain matrix of one association (an Association or a raw binary
-    K x L gamma). Entry (k, i) is |<h, w_i>|^2 with h IU k's channel through
-    the RIS serving interferer i (the direct link alone if i has none) and
-    w_i the unit MRT beam along IU i's own such channel."""
-    gamma = np.asarray(getattr(assoc, "gamma", assoc))
-    k_count, l_count = channels.num_ius, channels.num_riss
-    if gamma.shape != (k_count, l_count):
+    K x L gamma, see Association.from_gamma). Entry (k, i) is |<h, w_i>|^2
+    with h IU k's channel through the RIS serving interferer i (the direct
+    link alone if i has none) and w_i the unit MRT beam along IU i's own
+    such channel."""
+    if not isinstance(assoc, Association):
+        assoc = Association.from_gamma(assoc)
+    shape = (len(assoc.links), assoc.num_riss)
+    if shape != (channels.num_ius, channels.num_riss):
         raise DimensionError(
-            f"association matrix {gamma.shape} does not match "
-            f"(K, L) = ({k_count}, {l_count})")
-    check_binary(gamma)
-    served = gamma != 0
-    if np.any(served.sum(axis=1) > 1) or np.any(served.sum(axis=0) > 1):
-        raise DimensionError(
-            "association must be one-to-one: at most one RIS per IU and "
-            "one IU per RIS")
-    link = served @ np.arange(1, l_count + 1)
-    return GainMatrix(g=gather_gains(channels, link[None])[0],
+            f"association matrix {shape} does not match (K, L) = "
+            f"({channels.num_ius}, {channels.num_riss})")
+    return GainMatrix(g=gather_gains(channels, assoc.links[None])[0],
                       noise_power=noise_power_w)
+
+
+def check_zero_channels(channels, links):
+    """Raise for the first association, a row of links, that reads a zero
+    effective channel (a NaN table column), naming its first such IU."""
+    users = np.arange(links.shape[1])
+    # zero[c, i]: the column association c reads for IU i is NaN
+    zero = np.isnan(channels.link_gains).any(axis=1)[links, users]
+    if zero.any():
+        _, i = np.argwhere(zero)[0]  # row-major: first association first
+        raise NumericError(f"effective channel of IU {i} is zero")
 
 
 def gather_gains(channels, links):
     """(C, K, K) gain matrices of C associations, the rows of links (entry
     i is 0 for IU i's direct link, l + 1 for RIS l): g[c, k, i] =
-    link_gains[links[c, i], k, i]. Raises for the first association that
-    reads a zero effective channel (a NaN column), naming its first such IU."""
+    link_gains[links[c, i], k, i]; zero channels raise."""
     links = np.asarray(links, dtype=np.intp)
-    table = channels.link_gains
+    check_zero_channels(channels, links)
     users = np.arange(links.shape[1])
-    # zero[c, i]: the column association c reads for IU i is NaN
-    zero = np.isnan(table).any(axis=1)[links, users]
-    if zero.any():
-        c = np.flatnonzero(zero.any(axis=1))[0]
-        raise NumericError(
-            f"effective channel of IU {np.flatnonzero(zero[c])[0]} is zero")
-    return table[links[:, None, :], users[:, None], users]
+    return channels.link_gains[links[:, None, :], users[:, None], users]

@@ -63,9 +63,8 @@ def _associate(scheme, channels, u, p, cfg, rng):
     if scheme == "random":
         return random_association(channels.num_ius, channels.num_riss, rng)
     if scheme == "exhaustive":
-        assoc, _ = exhaustive_association(channels, p, cfg.noise_power_w,
-                                          cap=cfg.exhaustive_cap)
-        return assoc
+        return exhaustive_association(channels, p, cfg.noise_power_w,
+                                      cap=cfg.exhaustive_cap)[0]
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 

@@ -2,10 +2,10 @@
 
 Everything here is written from the defining formulas with plain loops or
 dense grids, deliberately sharing no code with the package internals. The
-two exceptions are former implementations kept as references:
-`armijo_inner_oracle` and `exhaustive_loop_oracle`, which scores through the
-package's own gain gather and sum rate so that its result can be compared
-with `==`. The helpers near the end are evaluators that only tests call;
+exceptions are former implementations kept as references:
+`armijo_inner_oracle`, and `exhaustive_loop_oracle` and
+`utility_gather_oracle`, which score through the package's own gain gather
+and rates so that their results can be compared with `==`. The helpers near the end are evaluators that only tests call;
 they check their inputs with the package's own validators. Last come the
 seeded random inputs that several test modules share.
 """
@@ -20,7 +20,7 @@ from fr3ris import _kernels
 from fr3ris.association import Association, _check_utilities
 from fr3ris.channel import ChannelSet, GainMatrix
 from fr3ris.power_sca import surrogate_gradient
-from fr3ris.rate import _check_power, association_sum_rate
+from fr3ris.rate import _check_power, association_sum_rate, link_rates
 from fr3ris.topology import as_position
 
 
@@ -261,6 +261,21 @@ def exhaustive_loop_oracle(channels, p_star, noise_power_w):
     return best_gamma, float(best_rate)
 
 
+def utility_gather_oracle(channels, p_star, noise_power_w):
+    """u[k, l] as IU k's entry of the rates of the association "IU k alone
+    on RIS l", all K L associations gathered in full and scored in one
+    rate.link_rates batch; zero channels raise as gather_gains does. The
+    former `association.utility_matrix`, O(K^3 L), the per-association
+    reference for its (L, K, K) stack."""
+    k_count, l_count = channels.num_ius, channels.num_riss
+    users = np.arange(k_count)
+    links = np.zeros((k_count, l_count, k_count), dtype=np.intp)
+    links[users, :, users] = np.arange(1, l_count + 1)
+    rates = link_rates(channels, links.reshape(-1, k_count), p_star,
+                       noise_power_w)
+    return rates.reshape(k_count, l_count, k_count)[users, :, users]
+
+
 # -- evaluators only tests call ---------------------------------------------
 
 def distance(a, b):
@@ -307,13 +322,13 @@ def surrogate_rate_bound(gm, p, p_t):
 
 def empty_association(num_ius, num_riss):
     """The Association that serves nobody through a RIS."""
-    return Association(gamma=np.zeros((num_ius, num_riss), dtype=np.int64))
+    return Association(links=np.zeros(num_ius, dtype=np.intp),
+                       num_riss=num_riss)
 
 
 def served_ris(assoc, k):
     """Index of the RIS serving IU k, or -1."""
-    hits = np.flatnonzero(assoc.gamma[k])
-    return int(hits[0]) if hits.size else -1
+    return int(assoc.links[k]) - 1
 
 
 def find_blocking_pair(u, assoc):
@@ -322,12 +337,13 @@ def find_blocking_pair(u, assoc):
     k_count, l_count = u.shape
     matched_u = np.zeros(k_count)
     holder = [-1] * l_count
-    for k, l in assoc.pairs():
+    for k in np.flatnonzero(assoc.links):
+        l = assoc.links[k] - 1
         matched_u[k] = u[k, l]
         holder[l] = k
     for k in range(k_count):
         for l in range(l_count):
-            if u[k, l] <= 0.0 or assoc.gamma[k, l]:
+            if u[k, l] <= 0.0 or assoc.links[k] == l + 1:
                 continue
             if u[k, l] <= matched_u[k]:
                 continue

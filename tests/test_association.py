@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fr3ris.channel import synthesize_channels
 from oracles import (blocking_pair_oracle, empty_association,
                      exhaustive_loop_oracle, find_blocking_pair,
                      gain_matrix_oracle, rand_channelset, rate_oracle,
-                     served_ris)
+                     served_ris, utility_gather_oracle)
 
 
 class _PickLast:
@@ -34,21 +35,29 @@ class _PickFirst:
         return 0
 
 
+def _alone(k, l, k_count, l_count):
+    # the association that puts IU k alone on RIS l
+    links = np.zeros(k_count, dtype=np.intp)
+    links[k] = l + 1
+    return Association(links=links, num_riss=l_count)
+
+
 def test_association_constraint_validation():
-    Association(gamma=np.array([[1, 0], [0, 1]]))
-    Association(gamma=np.zeros((3, 0), dtype=int))
+    # a raw gamma takes one path: its conversion into the link-vector check
+    Association.from_gamma(np.array([[1, 0], [0, 1]]))
+    Association.from_gamma(np.zeros((3, 0), dtype=int))
+    with pytest.raises(DimensionError, match="one-to-one"):
+        Association.from_gamma(np.array([[1, 1], [0, 0]]))
+    with pytest.raises(DimensionError, match="one-to-one"):
+        Association.from_gamma(np.array([[1, 0], [1, 0]]))
     with pytest.raises(NumericError):
-        Association(gamma=np.array([[1, 1], [0, 0]]))
-    with pytest.raises(NumericError):
-        Association(gamma=np.array([[1, 0], [1, 0]]))
-    with pytest.raises(NumericError):
-        Association(gamma=np.array([[2, 0], [0, 0]]))
+        Association.from_gamma(np.array([[2, 0], [0, 0]]))
 
 
 @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
 def test_association_rejects_non_binary_entries(bad):
     with pytest.raises(NumericError, match="0 or 1"):
-        Association(gamma=np.array([[bad, 0.0], [0.0, 0.0]]))
+        Association.from_gamma(np.array([[bad, 0.0], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("gamma", [
@@ -56,18 +65,55 @@ def test_association_rejects_non_binary_entries(bad):
     np.array([[1.0, 0.0], [0.0, 0.0]]),
 ])
 def test_association_accepts_bool_and_float_zero_one(gamma):
-    a = Association(gamma=gamma)
+    a = Association.from_gamma(gamma)
     assert a.gamma.dtype == np.int64
     np.testing.assert_array_equal(a.gamma, gamma)
 
 
 def test_association_helpers():
-    a = Association.from_pairs([(0, 2), (2, 1)], 3, 3)
+    a = Association(links=[3, 0, 2], num_riss=3)
     assert served_ris(a, 0) == 2
     assert served_ris(a, 1) == -1
     assert served_ris(a, 2) == 1
-    assert a.pairs() == [(0, 2), (2, 1)]
-    assert empty_association(2, 2).pairs() == []
+    assert a.gamma.tolist() == [[0, 0, 1], [0, 0, 0], [0, 1, 0]]
+    assert empty_association(2, 2).links.tolist() == [0, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), k=st.integers(1, 6), l=st.integers(0, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_link_vector_round_trips_through_gamma(data, k, l, seed):
+    # the first K entries of a shuffle of the surfaces and K direct links
+    picks = data.draw(st.permutations(list(range(1, l + 1)) + [0] * k))[:k]
+    source = np.array(picks)
+    a = Association(links=source, num_riss=l)
+    source[:] = 0  # the association holds its own read-only copy
+    assert a.links.tolist() == picks and a.links.dtype == np.intp
+    gamma = a.gamma
+    assert gamma.shape == (k, l)
+    assert not a.links.flags.writeable and not gamma.flags.writeable
+    b = Association.from_gamma(gamma)
+    assert np.array_equal(b.links, a.links) and b.num_riss == l
+    assert b.links.dtype == np.intp
+    # a raw gamma and its link vector gather the same gains
+    ch = rand_channelset(np.random.default_rng(seed), k=k, l=l, m=2, n=2)
+    assert np.array_equal(gains_for_association(ch, gamma, 1e-2).g,
+                          gains_for_association(ch, a, 1e-2).g)
+
+
+@pytest.mark.parametrize("links, error, match", [
+    ([1, 1], DimensionError, "one-to-one"),       # RIS 0 twice
+    ([0, 2, 2], DimensionError, "one-to-one"),    # RIS 1 twice
+    ([3, 0], NumericError, r"0\.\.2"),           # above L
+    ([-1, 0], NumericError, r"0\.\.2"),          # below 0
+    ([0.5, 0.0], NumericError, "integers"),
+    (np.array([1.0, np.nan]), NumericError, "integers"),
+    ([[1, 0]], DimensionError, "1-d"),
+    (1, DimensionError, "1-d"),
+])
+def test_link_vector_rejections(links, error, match):
+    with pytest.raises(error, match=match):
+        Association(links=links, num_riss=2)
 
 
 def test_utility_matrix_empty_when_no_ris():
@@ -93,8 +139,7 @@ def test_utility_matrix_agrees_with_rate_module():
         for k in range(k_count):
             for l in range(l_count):
                 gm = gains_for_association(
-                    ch, Association.from_pairs([(k, l)], k_count, l_count),
-                    noise)
+                    ch, _alone(k, l, k_count, l_count), noise)
                 assert u[k, l] == sum_rate(gm, p).per_iu_rate[k]
 
 
@@ -129,8 +174,7 @@ def test_utility_matrix_zero_channel_fails_like_the_pairs_it_reads():
     assert np.isnan(ch.link_gains[1, :, 1]).all()
     with pytest.raises(NumericError) as first:
         for k, l in itertools.product(range(3), range(2)):
-            gains_for_association(
-                ch, Association.from_pairs([(k, l)], 3, 2), 1e-2)
+            gains_for_association(ch, _alone(k, l, 3, 2), 1e-2)
     assert str(first.value) == "effective channel of IU 2 is zero"
     with pytest.raises(NumericError) as got:
         utility_matrix(ch, np.full(3, 0.2), 1e-2)
@@ -149,15 +193,62 @@ def test_utility_matrix_favors_nearby_iu():
     assert u[0, 0] > u[1, 0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 50), l=st.integers(0, 8), m=st.integers(1, 4),
+       n=st.integers(1, 4), dense=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(k=50, l=8, m=3, n=4, dense=True, seed=1)
+@example(k=50, l=8, m=25, n=4, dense=False, seed=2)
+@example(k=3, l=0, m=2, n=3, dense=True, seed=3)  # no surfaces
+def test_utility_matrix_equals_the_per_association_gather(k, l, m, n, dense,
+                                                          seed):
+    # dense: random complex links; else a seeded drop of geometric links
+    # with an m x m surface
+    rng = np.random.default_rng(seed)
+    if dense:
+        ch = rand_channelset(rng, k=k, l=l, m=m, n=n)
+        p = rng.uniform(0.0, 1.0, k)
+        noise = 10.0 ** rng.uniform(-3, 1)
+    else:
+        cfg = ScenarioConfig(num_ius=k, num_riss=l, ris_elements_y=m,
+                             ris_elements_z=m, num_antennas=n)
+        ch = synthesize_channels(sample_topology(cfg, rng), cfg)
+        p = rng.dirichlet(np.ones(k)) * cfg.p_max_w
+        noise = cfg.noise_power_w
+    u = utility_matrix(ch, p, noise)
+    assert u.shape == (k, l)
+    assert np.array_equal(u, utility_gather_oracle(ch, p, noise))
+
+
+def test_utility_matrix_memory_is_bounded():
+    # K = 50, L = 8, M = 625: one K x K matrix per (k, l) pair would hold
+    # 20 000 matrices of 2 500 gains, 9 MB at a time; the (L, K, K) stack
+    # holds 160 kB
+    cfg = ScenarioConfig(num_ius=50, num_riss=8, ris_elements_y=25,
+                         ris_elements_z=25)
+    rng = np.random.default_rng(94)
+    ch = synthesize_channels(sample_topology(cfg, rng), cfg)
+    p = np.full(cfg.num_ius, cfg.p_max_w / cfg.num_ius)
+    utility_matrix(ch, p, cfg.noise_power_w)  # first-call costs
+    tracemalloc.start()
+    try:
+        u = utility_matrix(ch, p, cfg.noise_power_w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert u.shape == (50, 8)
+    assert peak < 1 << 20, f"peak {peak / 2 ** 20:.2f} MB"
+
+
 def test_deferred_acceptance_hand_traces():
     # both IUs want RIS 0; it keeps the higher bid, loser settles for RIS 1
     a = match_deferred_acceptance(np.array([[5.0, 1.0], [4.0, 2.0]]))
-    assert a.pairs() == [(0, 0), (1, 1)]
+    assert a.links.tolist() == [1, 2]
     # no conflict: both get their first choice
     b = match_deferred_acceptance(np.array([[3.0, 1.0], [2.0, 4.0]]))
-    assert b.pairs() == [(0, 0), (1, 1)]
+    assert b.links.tolist() == [1, 2]
     c = match_deferred_acceptance(np.array([[0.5]]))
-    assert c.pairs() == [(0, 0)]
+    assert c.links.tolist() == [1]
 
 
 def test_deferred_acceptance_stability_exhaustively_verified():
@@ -165,7 +256,7 @@ def test_deferred_acceptance_stability_exhaustively_verified():
     a = match_deferred_acceptance(u)
     assert find_blocking_pair(u, a) is None
     # and the blocking-pair scan does flag an unstable association
-    bad = Association.from_pairs([(0, 1), (1, 0)], 2, 2)
+    bad = Association(links=[2, 1], num_riss=2)
     assert find_blocking_pair(u, bad) == (0, 0)
     assert blocking_pair_oracle(u, bad.gamma) == (0, 0)
 
@@ -173,16 +264,16 @@ def test_deferred_acceptance_stability_exhaustively_verified():
 def test_deferred_acceptance_skips_zero_utilities():
     u = np.array([[0.0, 0.0], [3.0, 0.0]])
     a = match_deferred_acceptance(u)
-    assert a.pairs() == [(1, 0)]
+    assert a.links.tolist() == [0, 1]
 
 
 def test_deferred_acceptance_tie_rules():
     # equal bids on RIS 0: lower IU index wins
     a = match_deferred_acceptance(np.array([[2.0, 1.0], [2.0, 1.5]]))
-    assert a.pairs() == [(0, 0), (1, 1)]
+    assert a.links.tolist() == [1, 2]
     # equal utilities within one row: lower RIS index tried first
     b = match_deferred_acceptance(np.array([[2.0, 2.0]]))
-    assert b.pairs() == [(0, 0)]
+    assert b.links.tolist() == [1]
 
 
 def test_deferred_acceptance_stable_on_random_instances():
@@ -229,30 +320,32 @@ def test_greedy_one_shot_contested_ris():
     u = np.array([[5.0, 1.0], [4.0, 2.0]])
     # random pick favors the later proposer: IU 1 wins RIS 0, IU 0 is out
     g = greedy_association(u, _PickLast())
-    assert g.pairs() == [(1, 0)]
+    assert g.links.tolist() == [0, 1]
     # with the other draw IU 0 wins and IU 1 is left unmatched
     g2 = greedy_association(u, _PickFirst())
-    assert g2.pairs() == [(0, 0)]
+    assert g2.links.tolist() == [1, 0]
 
 
 def test_greedy_argmax_tie_takes_lowest_ris():
     g = greedy_association(np.array([[2.0, 2.0]]), _PickLast())
-    assert g.pairs() == [(0, 0)]
+    assert g.links.tolist() == [1]
 
 
 def test_greedy_ignores_zero_utility():
     g = greedy_association(np.zeros((2, 2)), _PickLast())
-    assert g.pairs() == []
+    assert g.links.tolist() == [0, 0]
 
 
 def test_random_association_feasible_and_reproducible():
     for seed in range(30):
         rng = np.random.default_rng(seed)
         a = random_association(4, 3, rng)
-        Association(gamma=a.gamma)  # constraints hold by construction
+        # constraints hold by construction
+        assert np.array_equal(Association.from_gamma(a.gamma).links, a.links)
         b = random_association(4, 3, np.random.default_rng(seed))
-        assert np.array_equal(a.gamma, b.gamma)
-    assert random_association(3, 0, np.random.default_rng(0)).pairs() == []
+        assert np.array_equal(a.links, b.links)
+    none = random_association(3, 0, np.random.default_rng(0))
+    assert none.links.tolist() == [0, 0, 0]
 
 
 def test_random_association_reaches_every_option():
@@ -280,13 +373,9 @@ def test_exhaustive_enumerates_and_dominates():
     p = np.array([0.2, 0.1])
     best, best_rate = exhaustive_association(ch, p, 1e-2)
     # manual enumeration over all 7 candidates
-    cands = [empty_association(2, 2),
-             Association.from_pairs([(0, 0)], 2, 2),
-             Association.from_pairs([(0, 1)], 2, 2),
-             Association.from_pairs([(1, 0)], 2, 2),
-             Association.from_pairs([(1, 1)], 2, 2),
-             Association.from_pairs([(0, 0), (1, 1)], 2, 2),
-             Association.from_pairs([(0, 1), (1, 0)], 2, 2)]
+    cands = [empty_association(2, 2)] + [
+        Association(links=links, num_riss=2)
+        for links in ([1, 0], [2, 0], [0, 1], [0, 2], [1, 2], [2, 1])]
     rates = [association_sum_rate(ch, a, p, 1e-2) for a in cands]
     assert best_rate == pytest.approx(max(rates), rel=1e-12)
     assert best_rate >= max(rates) - 1e-12
@@ -409,7 +498,7 @@ def test_exhaustive_tie_goes_to_the_first_candidate(monkeypatch, entries):
            for s in range(2)]
     assert via[0] == via[1] > association_sum_rate(ch, [[0, 0]], p, 0.1)
     best, rate = exhaustive_association(ch, p, 0.1)
-    assert best.pairs() == [(0, 0)] and rate == via[0]
+    assert best.links.tolist() == [1] and rate == via[0]
 
 
 @pytest.mark.parametrize("direct_zero", [False, True])
@@ -496,6 +585,7 @@ def test_da_beats_greedy_on_average():
         u = rng.uniform(0, 5, size=(k, l))
         da = match_deferred_acceptance(u)
         gr = greedy_association(u, rng)
-        da_total += sum(u[k_, l_] for k_, l_ in da.pairs())
-        greedy_total += sum(u[k_, l_] for k_, l_ in gr.pairs())
+        da_total += sum(u[k_, l_ - 1] for k_, l_ in enumerate(da.links) if l_)
+        greedy_total += sum(u[k_, l_ - 1]
+                            for k_, l_ in enumerate(gr.links) if l_)
     assert da_total >= greedy_total

@@ -1,8 +1,10 @@
 """The benchmark in perfbench/ wraps and reads fr3ris names by hand
 (`experiment.sca_power_for_config`, `_kernels.solve_inner`'s `max_iter`
-argument, `ScenarioConfig.rho_variant`, `numerics.backend()`, ...). A
-refactor that drops one breaks only the benchmark, so this runs its child
-process in the verify and traced modes on a tiny scenario."""
+argument, `ScenarioConfig.rho_variant`, `numerics.backend()`, `.gamma` on
+the schemes' results, a raw `gamma` passed to
+`channel.gains_for_association`, ...). A refactor that drops one breaks
+only the benchmark, so this runs its child process in the verify and
+traced modes on a tiny scenario."""
 
 import json
 import os
@@ -42,5 +44,6 @@ def test_benchmark_child_runs_verify_and_traced(tmp_path):
     assert record["failures"] == []
     assert record["failed_ops"] == 0
     assert record["checked"] > 0
-    counts = _child("traced", tmp_path)["trace"]["counts"]
-    assert counts["power_sca.inner_iters"] > 0
+    trace = _child("traced", tmp_path)["trace"]
+    assert trace["counts"]["power_sca.inner_iters"] > 0
+    assert trace["calls"]["channel.gains"] > 0

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fr3ris.channel import (ChannelSet, GainMatrix, SPEED_OF_LIGHT,
-                            gains_for_association, pathloss,
+from fr3ris.channel import (Association, ChannelSet, GainMatrix,
+                            SPEED_OF_LIGHT, gains_for_association, pathloss,
                             synthesize_channels)
 from fr3ris.config import ScenarioConfig
 from fr3ris.errors import DimensionError, NumericError
@@ -701,6 +701,10 @@ def test_gains_for_association_validation():
         gains_for_association(ch, np.array([[1, 1], [0, 0]]), 1e-11)
     with pytest.raises(DimensionError):  # not (K, L)
         gains_for_association(ch, np.zeros((2, 3), dtype=int), 1e-11)
+    for other in (Association(links=[0, 1], num_riss=1),  # L = 1
+                  Association(links=[0, 1, 0], num_riss=2)):  # K = 3
+        with pytest.raises(DimensionError, match="does not match"):
+            gains_for_association(ch, other, 1e-11)
     with pytest.raises(DimensionError):
         gains_for_association(ch, np.zeros(2, dtype=int), 1e-11)
     with pytest.raises(NumericError):
