@@ -138,11 +138,13 @@ _ONE_TO_ONE = ("association must be one-to-one: at most one RIS per IU and "
                "one IU per RIS")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Association:
     """One-to-one IU-RIS association as a read-only (K,) link vector: entry
     i is 0 for IU i's direct link, l + 1 for RIS l. The constructor is the
-    one check of an association: integers in 0..num_riss, no RIS twice."""
+    one check of an association: integers in 0..num_riss, no RIS twice.
+    Two associations are equal when their num_riss and links are, so an
+    association can be a set member or a dict key."""
 
     links: np.ndarray
     num_riss: int
@@ -160,6 +162,16 @@ class Association:
             raise DimensionError(_ONE_TO_ONE)
         links.setflags(write=False)
         object.__setattr__(self, "links", links)
+
+    def __eq__(self, other):
+        if not isinstance(other, Association):
+            return NotImplemented
+        return (self.num_riss == other.num_riss
+                and np.array_equal(self.links, other.links))
+
+    def __hash__(self):
+        # links is always intp, so equal vectors have equal bytes
+        return hash((self.num_riss, self.links.tobytes()))
 
     @classmethod
     def from_gamma(cls, gamma):

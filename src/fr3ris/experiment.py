@@ -13,13 +13,18 @@ pipeline prefix draws from one stream; each scheme's own draws come from a
 per-scheme substream, so a scheme's result never depends on which other
 schemes ran alongside it. Sweep aggregation reduces in realization-index
 order, making CSV output bitwise stable under any FR3_THREADS setting.
+
+Process pool: FR3_THREADS > 1 runs the realizations on one
+ProcessPoolExecutor per sweep. A serial sweep loads no process-pool code
+(neither concurrent.futures.process nor multiprocessing); a pooled sweep
+imports the pool when it builds it, so that import time falls inside the
+sweep.
 """
 
 import contextlib
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +156,8 @@ def sweep(cfg, variable):
     if workers <= 1:
         results = [_worker(t) for t in tasks]
     else:
+        # imported here, so that a serial sweep loads no pool code
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map() preserves task order, so the reduction below is
             # always in realization-index order

@@ -116,6 +116,23 @@ def test_link_vector_rejections(links, error, match):
         Association(links=links, num_riss=2)
 
 
+def test_associations_compare_and_hash_by_link_vector():
+    a = Association(links=[1, 0, 2], num_riss=2)
+    same = Association(links=np.array([1, 0, 2], dtype=np.int8), num_riss=2)
+    other = Association(links=[2, 0, 1], num_riss=2)
+    wider = Association(links=[1, 0, 2], num_riss=3)
+    assert a == same and hash(a) == hash(same)
+    assert a != other
+    assert a != wider
+    assert a != Association(links=[1, 0], num_riss=2)
+    assert a != [1, 0, 2]
+    assert len({a, same, other, wider}) == 3
+    memo = {a: "first"}
+    memo[same] = "second"
+    assert memo == {a: "second"}
+    assert memo.get(wider) is None
+
+
 def test_utility_matrix_empty_when_no_ris():
     rng = np.random.default_rng(80)
     ch = rand_channelset(rng, k=2, l=0, m=1, n=4)

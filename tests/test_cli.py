@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fr3ris import cli
+from fr3ris import cli, experiment
 from fr3ris.config import ScenarioConfig
 from fr3ris.errors import ConfigError, NumericError
 
@@ -204,6 +204,21 @@ def test_failed_run_leaves_no_output_file(tmp_path):
     path.write_text(TINY + "exhaustive_cap = 3\n")
     out = tmp_path / "x.csv"
     code = cli.main(["run", "--config", str(path), "--out", str(out),
+                     "--schemes", "exhaustive"])
+    assert code == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["capped.cfg"]
+
+
+def test_pooled_failed_run_exits_5_and_leaves_no_output(tmp_path,
+                                                        monkeypatch):
+    # two forked workers, even on one core: the pool re-raises a worker's
+    # SizeError
+    monkeypatch.setenv("FR3_THREADS", "2")
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    path = tmp_path / "capped.cfg"
+    path.write_text(TINY + "exhaustive_cap = 3\n")
+    code = cli.main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv"),
                      "--schemes", "exhaustive"])
     assert code == 5
     assert sorted(p.name for p in tmp_path.iterdir()) == ["capped.cfg"]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import subprocess
 import sys
 
@@ -214,7 +215,9 @@ def test_sweep_opens_one_pool_bounded_by_realizations(monkeypatch, caplog):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    # sweep imports the pool from concurrent.futures when it builds one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("FR3_THREADS", "500")
     cfg = _cfg(realizations=2, schemes=("matching",),
@@ -232,6 +235,25 @@ def test_sweep_opens_one_pool_bounded_by_realizations(monkeypatch, caplog):
                ris_elements_z=1, power_rounds=1, power_sweep_dbm=(10.0,)),
           "power")
     assert built == [2, 4]
+
+
+def test_a_serial_sweep_loads_no_process_pool(cli_env):
+    # the pool's imports (multiprocessing, sockets, subprocess) cost about
+    # 2 MB resident and 20 ms in a process that never forks
+    code = ("import sys\n"
+            "from fr3ris.config import ScenarioConfig\n"
+            "from fr3ris.experiment import sweep\n"
+            "cfg = ScenarioConfig(num_antennas=4, num_ius=2, num_riss=2,\n"
+            "                     ris_elements_y=2, ris_elements_z=2,\n"
+            "                     realizations=2, power_sweep_dbm=(10.0,))\n"
+            "sweep(cfg, 'power')\n"
+            "print([m for m in ('concurrent.futures.process',\n"
+            "                   'multiprocessing') if m in sys.modules])\n")
+    env = {k: v for k, v in cli_env.items() if k != "FR3_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_a_realization_does_not_import_numpy_ma(cli_env):
