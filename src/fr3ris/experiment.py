@@ -14,17 +14,23 @@ per-scheme substream, so a scheme's result never depends on which other
 schemes ran alongside it. Sweep aggregation reduces in realization-index
 order, making CSV output bitwise stable under any FR3_THREADS setting.
 
-Process pool: FR3_THREADS > 1 runs the realizations on one
-ProcessPoolExecutor per sweep. A serial sweep loads no process-pool code
-(neither concurrent.futures.process nor multiprocessing); a pooled sweep
-imports the pool when it builds it, so that import time falls inside the
-sweep.
+Worker processes: FR3_THREADS > 1 forks W workers per sweep, and worker w
+runs the fixed strided share tasks[w::W] of the point-major task list with
+the same loop a serial sweep runs, then pickles its results (or its
+exception) into a pipe. The parent puts each share back in place, so the
+reduction stays in realization order. A pooled sweep imports only
+multiprocessing, when it forks, and no executor, queue or connection
+module; a serial sweep imports neither. The fixed shares spread every
+point's realizations evenly over the workers, but do not balance one slow
+realization against another: the sweep waits for the slowest share.
 """
 
 import contextlib
 import logging
 import math
 import os
+import pickle
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +113,70 @@ def _run_schemes(cfg, index, schemes):
     return out
 
 
-def _worker(args):
-    cfg, index, schemes = args
-    return _run_schemes(cfg, index, schemes)
+def _run_share(tasks):
+    """The realizations of one share, in task order."""
+    return [_run_schemes(cfg, index, schemes) for cfg, index, schemes in tasks]
+
+
+def _send_share(tasks, fd):
+    # runs in a forked worker: pickle the share's results, or the exception
+    # that stopped it, whole before writing, so a short read means a lost
+    # worker
+    try:
+        payload = _run_share(tasks)
+    except Exception as exc:
+        # the parent re-raises it; keep where the worker raised it
+        exc.add_note("".join(traceback.format_exception(exc)))
+        payload = exc
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+
+
+def _run_forked(tasks, workers):
+    """Run share tasks[w::workers] in forked worker w; return every result
+    in task order. Re-raises the first failed share's exception, in worker
+    order, and raises RuntimeError for a worker that exits without
+    reporting; no worker outlives the call."""
+    # imported here, so that a serial sweep never loads it
+    import multiprocessing
+
+    # fork, not spawn: a worker starts with numpy and fr3ris already
+    # imported, and with this process's functions as they are bound now
+    ctx = multiprocessing.get_context("fork")
+    procs, readers = [], []
+    try:
+        for w in range(workers):
+            r, fd = os.pipe()
+            readers.append(os.fdopen(r, "rb"))
+            try:
+                proc = ctx.Process(target=_send_share,
+                                   args=(tasks[w::workers], fd), daemon=True)
+                proc.start()
+                procs.append(proc)
+            finally:
+                # only the worker may hold the write end, or the read below
+                # never sees end-of-file
+                os.close(fd)
+        results = [None] * len(tasks)
+        for w, (proc, reader) in enumerate(zip(procs, readers)):
+            data = reader.read()
+            proc.join()
+            if proc.exitcode != 0:
+                raise RuntimeError(f"sweep worker {w} (pid {proc.pid}) exited "
+                                   f"with code {proc.exitcode}")
+            share = pickle.loads(data)
+            if isinstance(share, Exception):
+                raise share
+            results[w::workers] = share
+        return results
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in procs:
+            proc.join()
+        for reader in readers:
+            reader.close()
 
 
 def resolve_workers():
@@ -149,19 +216,19 @@ def sweep(cfg, variable):
     if requested > cores:
         log.warning("FR3_THREADS asks for %d workers on %d cores",
                     requested, cores)
-    # a pool forks all its workers at once, so never more than there are
-    # cores or realizations per point; one pool serves every point
+    # every worker is forked at once and runs one fixed strided share of
+    # all the points' tasks, so never more workers than there are cores or
+    # realizations per point
     workers = min(requested, n, cores)
+    if workers > 1 and not hasattr(os, "fork"):
+        log.warning("FR3_THREADS asks for %d workers, but this platform "
+                    "cannot fork; running serially", requested)
+        workers = 1
     tasks = [(pcfg, index, schemes) for pcfg in point_cfgs for index in range(n)]
-    if workers <= 1:
-        results = [_worker(t) for t in tasks]
+    if workers > 1:
+        results = _run_forked(tasks, workers)
     else:
-        # imported here, so that a serial sweep loads no pool code
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map() preserves task order, so the reduction below is
-            # always in realization-index order
-            results = list(pool.map(_worker, tasks, chunksize=1))
+        results = _run_share(tasks)
     mean = np.empty((len(values), len(schemes)))
     stderr = np.empty_like(mean)
     for vi in range(len(values)):

@@ -1,6 +1,9 @@
 """Command-line interface: verbs, overrides, and exit codes."""
 
 import math
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
 
@@ -222,6 +225,29 @@ def test_pooled_failed_run_exits_5_and_leaves_no_output(tmp_path,
                      "--schemes", "exhaustive"])
     assert code == 5
     assert sorted(p.name for p in tmp_path.iterdir()) == ["capped.cfg"]
+
+
+def test_killed_worker_fails_the_run_and_leaves_no_output(tmp_path,
+                                                          monkeypatch):
+    parent = os.getpid()
+    run = experiment._run_schemes
+
+    def killed_at_1(cfg, index, schemes):
+        # only ever in a forked worker: never kill the test process
+        if index == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run(cfg, index, schemes)
+
+    monkeypatch.setattr(experiment, "_run_schemes", killed_at_1)
+    monkeypatch.setenv("FR3_THREADS", "2")
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY)
+    with pytest.raises(RuntimeError, match="exited with code -9"):
+        cli.main(["run", "--config", str(path),
+                  "--out", str(tmp_path / "x.csv")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.cfg"]
+    assert multiprocessing.active_children() == []
 
 
 def test_numeric_error_exits_3(tiny_cfg, tmp_path, monkeypatch):

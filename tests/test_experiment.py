@@ -1,4 +1,5 @@
-import concurrent.futures
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -200,24 +201,16 @@ def test_each_association_gets_one_gain_matrix(monkeypatch, rounds, calls):
 def test_sweep_opens_one_pool_bounded_by_realizations(monkeypatch, caplog):
     built = []
 
-    class RecordingPool:
-        # stands in for ProcessPoolExecutor: runs the tasks in-process and
-        # records how it was built, so no worker process starts
-        def __init__(self, max_workers):
-            built.append(max_workers)
+    def in_process(tasks, workers):
+        # stands in for the forked shares: records the worker count and
+        # runs each strided share in this process, so no worker starts
+        built.append(workers)
+        results = [None] * len(tasks)
+        for w in range(workers):
+            results[w::workers] = experiment._run_share(tasks[w::workers])
+        return results
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    # sweep imports the pool from concurrent.futures when it builds one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
+    monkeypatch.setattr(experiment, "_run_forked", in_process)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("FR3_THREADS", "500")
     cfg = _cfg(realizations=2, schemes=("matching",),
@@ -237,6 +230,54 @@ def test_sweep_opens_one_pool_bounded_by_realizations(monkeypatch, caplog):
     assert built == [2, 4]
 
 
+def test_uneven_forked_shares_reduce_like_a_serial_sweep(monkeypatch):
+    # 2 points x 5 realizations over 3 workers: shares of 4, 3 and 3 tasks,
+    # each spanning both points
+    cfg = _cfg(realizations=5, schemes=("matching", "random"),
+               power_sweep_dbm=(13.0, 20.0))
+    monkeypatch.delenv("FR3_THREADS", raising=False)
+    serial = sweep(cfg, "power")
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("FR3_THREADS", "3")
+    assert format_csv(sweep(cfg, "power")) == format_csv(serial)
+
+
+def test_a_workers_exception_is_re_raised_with_its_traceback(monkeypatch):
+    run = experiment._run_schemes
+
+    def fails_at_2(cfg, index, schemes):
+        if index == 2:
+            raise ValueError("synthetic failure at realization 2")
+        return run(cfg, index, schemes)
+
+    monkeypatch.setattr(experiment, "_run_schemes", fails_at_2)
+    cfg = _cfg(realizations=3, schemes=("random",))
+    tasks = [(cfg, index, cfg.schemes) for index in range(3)]
+    with pytest.raises(ValueError, match="realization 2") as info:
+        experiment._run_forked(tasks, 2)
+    assert "in fails_at_2" in "".join(info.value.__notes__)
+    assert multiprocessing.active_children() == []
+
+
+def test_without_fork_a_pooled_sweep_runs_serially(monkeypatch, caplog):
+    def no_workers(tasks, workers):
+        raise AssertionError("forked without os.fork")
+
+    monkeypatch.setattr(experiment, "_run_forked", no_workers)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("FR3_THREADS", "2")
+    cfg = _cfg(realizations=2, schemes=("matching",),
+               power_sweep_dbm=(10.0, 17.0))
+    with caplog.at_level("WARNING", logger="fr3ris"):
+        pooled = sweep(cfg, "power")
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert "cannot fork" in warnings[0].getMessage()
+    monkeypatch.delenv("FR3_THREADS")
+    assert format_csv(pooled) == format_csv(sweep(cfg, "power"))
+
+
 def test_a_serial_sweep_loads_no_process_pool(cli_env):
     # the pool's imports (multiprocessing, sockets, subprocess) cost about
     # 2 MB resident and 20 ms in a process that never forks
@@ -254,6 +295,29 @@ def test_a_serial_sweep_loads_no_process_pool(cli_env):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_pooled_sweep_loads_no_executor(cli_env):
+    # the forked shares need multiprocessing alone: no executor, queues or
+    # connections
+    code = ("import os, sys\n"
+            "os.cpu_count = lambda: 2\n"
+            "from fr3ris.config import ScenarioConfig\n"
+            "from fr3ris.experiment import sweep\n"
+            "cfg = ScenarioConfig(num_antennas=4, num_ius=2, num_riss=2,\n"
+            "                     ris_elements_y=2, ris_elements_z=2,\n"
+            "                     realizations=2, power_sweep_dbm=(10.0,))\n"
+            "sweep(cfg, 'power')\n"
+            "print('multiprocessing' in sys.modules,\n"
+            "      [m for m in ('concurrent.futures.process',\n"
+            "                   'multiprocessing.queues',\n"
+            "                   'multiprocessing.connection', 'queue')\n"
+            "       if m in sys.modules])\n")
+    env = dict(cli_env, FR3_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True []"
 
 
 def test_a_realization_does_not_import_numpy_ma(cli_env):
