@@ -74,8 +74,7 @@ def _newton_step(g, d, grad, mu, p, p_max):
     zeros whose gradient beats the budget multiplier mu. When the budget
     binds (mu > 0) the step solves the KKT system with the budget row,
     scaled like the Hessian, so sum(p + step) = p_max unless the step is
-    shortened below. Returns (step, rescaled); rescaled says the step
-    was cut to _REACH p_max."""
+    shortened below."""
     free = (p > 0.0) | (grad > mu)
     gf = g[:, free]
     n = gf.shape[1]
@@ -97,8 +96,8 @@ def _newton_step(g, d, grad, mu, p, p_max):
     # projection past every face of the set, so zeros land exactly
     reach = float(np.max(np.abs(step)))
     if reach > _REACH * p_max:
-        return step * (_REACH * p_max / reach), True
-    return step, False
+        step *= _REACH * p_max / reach
+    return step
 
 
 def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter):
@@ -106,9 +105,8 @@ def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter):
     along the projection arc of the Newton step until Armijo holds, and
     takes a projected-gradient Armijo step if it never does: if the arc
     falls below _MIN_ARC, or once its Armijo gain is at most the rounding
-    of f (_ROUNDING |f|), past which no shorter arc can meet it. A
-    rescaled step under a slack budget backtracks past a negative gain
-    too. Stops when the unit-step gradient mapping norm is at most tol."""
+    of f (_ROUNDING |f|), past which no shorter arc can meet it. Stops
+    when the unit-step gradient mapping norm is at most tol."""
     p = project_capped_simplex(p0, p_max)
     f_cur = surrogate_value(g, sigma2, rho_col, p)
     d, grad, gm, mu = _stationarity(g, sigma2, rho_col, p, p_max)
@@ -120,7 +118,7 @@ def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter):
         if gm <= tol:
             converged = True
             break
-        step, rescaled = _newton_step(g, d, grad, mu, p, p_max)
+        step = _newton_step(g, d, grad, mu, p, p_max)
         alpha = 1.0
         while alpha >= _MIN_ARC:
             q = project_capped_simplex(p + alpha * step, p_max)
@@ -134,16 +132,8 @@ def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter):
                     and _stationarity(g, sigma2, rho_col, q, p_max)[2] < gm):
                 break
             # a gain below the rounding of f cannot be met on a shorter
-            # arc either: go to the projected-gradient step. A rescaled
-            # step with the budget slack runs along a flat direction of
-            # f, and its long arc crosses the budget face, whose
-            # projection leaves that direction; a negative gain there
-            # says only that the arc overshoots, so shorten it (on
-            # rank-one gains the projected-gradient steps that replaced
-            # it crept along the direction and hit max_iter)
-            rounding = _ROUNDING * abs(f_cur)
-            overshot = rescaled and mu == 0.0 and gain < -rounding
-            alpha *= ARMIJO_BETA if gain > rounding or overshot else 0.0
+            # arc either: go to the projected-gradient step
+            alpha *= ARMIJO_BETA if gain > _ROUNDING * abs(f_cur) else 0.0
         else:
             pg_step /= ARMIJO_BETA
             while True:
