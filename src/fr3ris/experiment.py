@@ -23,6 +23,10 @@ multiprocessing, when it forks, and no executor, queue or connection
 module; a serial sweep imports neither. The fixed shares spread every
 point's realizations evenly over the workers, but do not balance one slow
 realization against another: the sweep waits for the slowest share.
+Workers are forked, so pooled sweeps run on Linux and the other POSIX
+systems that fork safely; on Windows (no os.fork) and macOS (where
+system libraries may have started threads a forked child cannot use),
+FR3_THREADS > 1 warns and runs serially.
 """
 
 import contextlib
@@ -30,6 +34,7 @@ import logging
 import math
 import os
 import pickle
+import sys
 import traceback
 from dataclasses import dataclass
 
@@ -118,16 +123,23 @@ def _run_share(tasks):
     return [_run_schemes(cfg, index, schemes) for cfg, index, schemes in tasks]
 
 
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained as the cause of the
+    exception the parent re-raises."""
+
+    def __str__(self):
+        return self.args[0]
+
+
 def _send_share(tasks, fd):
     # runs in a forked worker: pickle the share's results, or the exception
-    # that stopped it, whole before writing, so a short read means a lost
-    # worker
+    # that stopped it with its traceback, whole before writing, so a short
+    # read means a lost worker
     try:
         payload = _run_share(tasks)
     except Exception as exc:
-        # the parent re-raises it; keep where the worker raised it
-        exc.add_note("".join(traceback.format_exception(exc)))
-        payload = exc
+        payload = (exc, _RemoteTraceback("".join(
+            traceback.format_exception(type(exc), exc, exc.__traceback__))))
     with os.fdopen(fd, "wb") as fh:
         fh.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
 
@@ -165,8 +177,9 @@ def _run_forked(tasks, workers):
                 raise RuntimeError(f"sweep worker {w} (pid {proc.pid}) exited "
                                    f"with code {proc.exitcode}")
             share = pickle.loads(data)
-            if isinstance(share, Exception):
-                raise share
+            if isinstance(share, tuple):
+                exc, remote = share
+                raise exc from remote
             results[w::workers] = share
         return results
     finally:
@@ -220,9 +233,11 @@ def sweep(cfg, variable):
     # all the points' tasks, so never more workers than there are cores or
     # realizations per point
     workers = min(requested, n, cores)
-    if workers > 1 and not hasattr(os, "fork"):
+    # macOS has os.fork, but a forked child may crash in system libraries
+    # that had started threads, which is why spawn is its default there
+    if workers > 1 and (not hasattr(os, "fork") or sys.platform == "darwin"):
         log.warning("FR3_THREADS asks for %d workers, but this platform "
-                    "cannot fork; running serially", requested)
+                    "cannot fork safely; running serially", requested)
         workers = 1
     tasks = [(pcfg, index, schemes) for pcfg in point_cfgs for index in range(n)]
     if workers > 1:

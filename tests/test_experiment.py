@@ -255,16 +255,23 @@ def test_a_workers_exception_is_re_raised_with_its_traceback(monkeypatch):
     tasks = [(cfg, index, cfg.schemes) for index in range(3)]
     with pytest.raises(ValueError, match="realization 2") as info:
         experiment._run_forked(tasks, 2)
-    assert "in fails_at_2" in "".join(info.value.__notes__)
+    assert "in fails_at_2" in str(info.value.__cause__)
     assert multiprocessing.active_children() == []
 
 
-def test_without_fork_a_pooled_sweep_runs_serially(monkeypatch, caplog):
+@pytest.mark.parametrize("platform", ["no-fork", "macos"])
+def test_without_fork_a_pooled_sweep_runs_serially(monkeypatch, caplog,
+                                                  platform):
+    if platform == "macos":
+        # os.fork exists there, but a forked child is unsafe
+        monkeypatch.setattr(sys, "platform", "darwin")
+    else:
+        monkeypatch.delattr(os, "fork")
+
     def no_workers(tasks, workers):
-        raise AssertionError("forked without os.fork")
+        raise AssertionError("forked where fork is unsafe")
 
     monkeypatch.setattr(experiment, "_run_forked", no_workers)
-    monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("FR3_THREADS", "2")
     cfg = _cfg(realizations=2, schemes=("matching",),
