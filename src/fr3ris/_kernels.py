@@ -105,8 +105,10 @@ def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter):
     along the projection arc of the Newton step until Armijo holds, and
     takes a projected-gradient Armijo step if it never does: if the arc
     falls below _MIN_ARC, or once its Armijo gain is at most the rounding
-    of f (_ROUNDING |f|), past which no shorter arc can meet it. Stops
-    when the unit-step gradient mapping norm is at most tol."""
+    of f (_ROUNDING |f|), past which no shorter arc can meet it. Under a
+    slack budget only a gain within that rounding of zero does so: an arc
+    whose gain is below -_ROUNDING |f| overshoots and keeps shortening.
+    Stops when the unit-step gradient mapping norm is at most tol."""
     p = project_capped_simplex(p0, p_max)
     f_cur = surrogate_value(g, sigma2, rho_col, p)
     d, grad, gm, mu = _stationarity(g, sigma2, rho_col, p, p_max)
@@ -132,8 +134,13 @@ def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter):
                     and _stationarity(g, sigma2, rho_col, q, p_max)[2] < gm):
                 break
             # a gain below the rounding of f cannot be met on a shorter
-            # arc either: go to the projected-gradient step
-            alpha *= ARMIJO_BETA if gain > _ROUNDING * abs(f_cur) else 0.0
+            # arc either: go to the projected-gradient step. Under a
+            # slack budget a negative gain says only that the arc
+            # overshoots (a long step crosses the budget face, whose
+            # projection leaves the Newton direction): shorten it
+            rounding = _ROUNDING * abs(f_cur)
+            overshot = mu == 0.0 and gain < -rounding
+            alpha *= ARMIJO_BETA if gain > rounding or overshot else 0.0
         else:
             pg_step /= ARMIJO_BETA
             while True:

@@ -15,8 +15,9 @@ the power each beam delivers at every IU; the K x K gain matrices of any
 batch of associations are one gather from that table (gather_gains). Per
 RIS the table works on the link's (M, r) element side (see ChannelSet):
 over cache-sized blocks of elements, the unit co-phasing coefficients of
-all K IUs are formed once and one (K, block) x (block, K r) product
-accumulates every IU's cascade co-phased for every IU, a (K, K, r) array.
+all K IUs are formed once and one (K, block) x (block, K r) product,
+numerics.matvec_hermitian, accumulates every IU's cascade co-phased for
+every IU, a (K, K, r) array.
 Each served IU's (K, N) channel slab is then its (K, r) slice plus the
 direct channels, which broadcasts along the antennas when r = 1. An
 Association is a link vector of such table indices, one per IU.
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NumericError
+from .numerics import matvec_hermitian
 
 SPEED_OF_LIGHT = 299_792_458.0
 _MIN_DISTANCE = 1e-3
@@ -156,8 +158,7 @@ class Association:
         if links.dtype.kind not in "iu":
             raise NumericError(f"links must be integers, got {links.dtype}")
         links = links.astype(np.intp)
-        if np.any(links < 0) or np.any(links > self.num_riss):
-            raise NumericError(f"links must be in 0..{self.num_riss}")
+        _check_link_range(links, self.num_riss)
         if np.bincount(links)[1:].max(initial=0) > 1:
             raise DimensionError(_ONE_TO_ONE)
         links.setflags(write=False)
@@ -255,19 +256,21 @@ def _cascade(u, ris_iu):
 
     [i, j, q] = sum_e ris_iu[i, e] conj(phase[j, e] u[e, q]), phase[j, e]
     the unit coefficient of (conj(u[e, 0]) ris_iu[j, e]), summed over
-    element blocks of one (K, block) x (block, K r) product each.
+    element blocks of one (K, block) x (block, K r) Hermitian product
+    each, matvec_hermitian(v, ris_iu[:, block]) with v[e, j r + q] =
+    phase[j, e] u[e, q].
     """
     k, rank = ris_iu.shape[0], u.shape[1]
     step = max(1, _ENTRIES // max(k * rank, 1))
     out = np.zeros((k, k * rank), dtype=np.complex128)
     for m0 in range(0, len(u), step):
         blk = slice(m0, m0 + step)
-        # BLAS needs a unit stride; older numpy runs its own matmul loop
-        # on a zero-stride operand, slower and rounding differently
+        # a unit-stride copy: the elementwise work below, the conjugate
+        # in matvec_hermitian included, is slower on a zero-stride view
         ub, every = u[blk], np.ascontiguousarray(ris_iu[:, blk])
         phase = _unit(np.conj(ub[:, 0]) * every)
         v = phase.T[:, :, None] * ub[:, None, :]
-        out += every @ np.conjugate(v, out=v).reshape(len(ub), k * rank)
+        out += matvec_hermitian(v.reshape(len(ub), k * rank), every)
     return out.reshape(k, k, rank)
 
 
@@ -320,11 +323,21 @@ def check_zero_channels(channels, links):
         raise NumericError(f"effective channel of IU {i} is zero")
 
 
+def _check_link_range(links, num_riss):
+    """Raise unless every link is a table index, 0..num_riss: numpy would
+    read -1 as the last RIS and raise a bare IndexError past it."""
+    if np.any(links < 0) or np.any(links > num_riss):
+        raise NumericError(f"links must be in 0..{num_riss}")
+
+
 def gather_gains(channels, links):
     """(C, K, K) gain matrices of C associations, the rows of links (entry
     i is 0 for IU i's direct link, l + 1 for RIS l): g[c, k, i] =
-    link_gains[links[c, i], k, i]; zero channels raise."""
+    link_gains[links[c, i], k, i]; links out of 0..L and zero channels
+    raise. Rows are not checked one-to-one: that check stays with the
+    Association constructor."""
     links = np.asarray(links, dtype=np.intp)
+    _check_link_range(links, channels.num_riss)
     check_zero_channels(channels, links)
     users = np.arange(links.shape[1])
     return channels.link_gains[links[:, None, :], users[:, None], users]

@@ -1,11 +1,9 @@
-"""Validated Hermitian matrix-vector product.
+"""Validated Hermitian matrix-vector product, the link-gain table's kernel.
 
-No module in fr3ris calls it any more: the link-gain table contracts its
-element blocks in channel.py. It stays, with backend(), because the
-benchmark in perfbench/ binds both names (perfbench/tracer.py wraps
-matvec_hermitian, perfbench/child.py records backend();
-tests/test_benchmark_bindings.py guards them) until a change to the
-benchmark retires them.
+channel._cascade contracts each element block of a surface through
+matvec_hermitian, looked up at call time, so a wrapper bound in its place
+sees every product (perfbench/tracer.py wraps it). backend() names the
+implementation for perfbench/child.py.
 """
 
 import numpy as np

@@ -3,7 +3,7 @@
 Everything here is written from the defining formulas with plain loops or
 dense grids, deliberately sharing no code with the package internals. The
 exceptions are former implementations kept as references:
-`armijo_inner_oracle`, and `exhaustive_loop_oracle` and
+`armijo_inner_oracle`, `inline_link_gains`, and `exhaustive_loop_oracle` and
 `utility_gather_oracle`, which score through the package's own gain gather
 and rates so that their results can be compared with `==`. The helpers near the end are evaluators that only tests call;
 they check their inputs with the package's own validators. Last come the
@@ -18,7 +18,8 @@ import numpy as np
 
 from fr3ris import _kernels
 from fr3ris.association import Association, _check_utilities
-from fr3ris.channel import ChannelSet, GainMatrix
+from fr3ris.channel import (_ENTRIES, ChannelSet, GainMatrix, _beam_gains,
+                            _unit)
 from fr3ris.power_sca import surrogate_gradient
 from fr3ris.rate import _check_power, association_sum_rate, link_rates
 from fr3ris.topology import as_position
@@ -141,6 +142,34 @@ def gain_matrix_oracle(direct, ap_ris, ris_iu, gamma):
             inner = sum(h[n].conjugate() * own[n] for n in range(n_count))
             g[k][i] = abs(inner / norm) ** 2
     return g
+
+
+def inline_link_gains(channels):
+    """ChannelSet's link-gain table as it was built with each element
+    block's contraction written inline, every @ conj(v), before it went
+    through numerics.matvec_hermitian: the same blocks, co-phasing and
+    beam gains, so the tables can be compared with ==."""
+    d, a, r = channels.direct, channels.ap_ris, channels.ris_iu
+    u = a[:, :, :1] if a.strides[2] == 0 else a
+    l_count, k, _ = r.shape
+    rank = u.shape[2]
+    step = max(1, _ENTRIES // max(k * rank, 1))
+    gains = np.empty((l_count + 1, k, k))
+    for i in range(k):
+        gains[0, :, i] = _beam_gains(d, i)
+    lead = _unit(d[:, 0])
+    for li in range(l_count):
+        out = np.zeros((k, k * rank), dtype=np.complex128)
+        for m0 in range(0, u.shape[1], step):
+            ub = u[li, m0:m0 + step]
+            every = np.ascontiguousarray(r[li, :, m0:m0 + step])
+            phase = _unit(np.conj(ub[:, 0]) * every)
+            v = phase.T[:, :, None] * ub[:, None, :]
+            out += every @ np.conj(v).reshape(len(ub), k * rank)
+        cascade = out.reshape(k, k, rank) * lead[:, None]
+        for j in range(k):
+            gains[li + 1, :, j] = _beam_gains(cascade[:, j] + d, j)
+    return gains
 
 
 def blocking_pair_oracle(u, gamma):

@@ -47,3 +47,4 @@ def test_benchmark_child_runs_verify_and_traced(tmp_path):
     trace = _child("traced", tmp_path)["trace"]
     assert trace["counts"]["power_sca.inner_iters"] > 0
     assert trace["calls"]["channel.gains"] > 0
+    assert trace["calls"]["numerics.matvec"] > 0

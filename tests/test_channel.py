@@ -9,15 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fr3ris.channel import (Association, ChannelSet, GainMatrix,
-                            SPEED_OF_LIGHT, gains_for_association, pathloss,
-                            synthesize_channels)
+                            SPEED_OF_LIGHT, gains_for_association,
+                            gather_gains, pathloss, synthesize_channels)
 from fr3ris.config import ScenarioConfig
 from fr3ris.errors import DimensionError, NumericError
-from fr3ris.rate import association_sum_rate
+from fr3ris.rate import association_sum_rate, link_rates
 from fr3ris.topology import NetworkTopology, sample_topology
 
 from fr3ris import channel, numerics
-from oracles import gain_matrix_oracle, rand_channelset, rand_complex
+from oracles import (gain_matrix_oracle, inline_link_gains, rand_channelset,
+                     rand_complex)
 
 
 def _cophase_profile(ch, l, s):
@@ -331,6 +332,46 @@ def test_default_realizations_match_their_dense_link():
         ref = ChannelSet(direct=ch.direct, ap_ris=dense, ris_iu=ch.ris_iu,
                          carrier_freq_hz=ch.carrier_freq_hz)
         _assert_tables_agree(ch.link_gains, ref.link_gains)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 5), l=st.integers(1, 3), n=st.integers(1, 6),
+       blocks=st.integers(2, 4), geometric=st.booleans(),
+       zero_iu=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(k=5, l=3, n=64, blocks=7, geometric=True, zero_iu=False, seed=0)
+def test_link_table_equals_inline_contraction_bit_for_bit(k, l, n, blocks,
+                                                           geometric, zero_iu,
+                                                           seed):
+    # the table's products go through numerics.matvec_hermitian, which
+    # computes conj(conj(every) @ v): bit for bit every @ conj(v), on
+    # random dense links (r = N) and on synthesized zero-stride links
+    # (r = 1), over several element blocks
+    rng = np.random.default_rng(seed)
+    rank = 1 if geometric else n
+    per_block = channel._ENTRIES // (k * rank)
+    m = per_block * (blocks - 1) + int(rng.integers(1, per_block + 1))
+    if geometric:
+        side = int(np.ceil(np.sqrt(m)))
+        cfg = ScenarioConfig(num_ius=k, num_riss=l, num_antennas=n,
+                             ris_elements_y=side, ris_elements_z=side)
+        ch = synthesize_channels(sample_topology(cfg, rng), cfg)
+        ap_ris = ch.ap_ris
+        direct, ris_iu = ch.direct[:, :1].copy(), ch.ris_iu[:, :, :1].copy()
+    else:
+        ap_ris = rand_complex(rng, l, m, n)
+        direct, ris_iu = rand_complex(rng, k, n), rand_complex(rng, l, k, m)
+    if zero_iu:
+        direct[0] = 0.0
+        ris_iu[:, 0] = 0.0
+    got = ChannelSet(direct=np.broadcast_to(direct, (k, n)), ap_ris=ap_ris,
+                     ris_iu=np.broadcast_to(ris_iu, (l, k, ap_ris.shape[1])),
+                     carrier_freq_hz=15e9)
+    assert got.num_elements > per_block * (blocks - 1)
+    assert (got.ap_ris.strides[2] == 0) == geometric
+    if zero_iu:
+        assert np.all(np.isnan(got.link_gains[:, :, 0]))
+    assert np.array_equal(got.link_gains, inline_link_gains(got),
+                          equal_nan=True)
 
 
 def test_kept_link_of_a_non_constant_factor_is_its_exact_product():
@@ -711,6 +752,21 @@ def test_gains_for_association_validation():
         GainMatrix(g=np.array([[1.0, 0.0], [0.0, -2.0]]), noise_power=1e-11)
     with pytest.raises(NumericError):
         GainMatrix(g=np.ones((2, 2)), noise_power=0.0)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_links_out_of_range_raise_where_they_are_read(bad):
+    # numpy would read -1 as the last RIS and raise a bare IndexError
+    # past it; the scorer raises the Association constructor's error
+    ch = rand_channelset(np.random.default_rng(58), k=2, l=2, m=3, n=4)
+    message = r"links must be in 0\.\.2"
+    for links in ([[bad, 0]], [[0, 1], [bad, bad]]):
+        with pytest.raises(NumericError, match=message):
+            gather_gains(ch, links)
+        with pytest.raises(NumericError, match=message):
+            link_rates(ch, links, np.ones(2), 1e-11)
+    with pytest.raises(NumericError, match=message):
+        Association(links=[bad, 0], num_riss=2)
 
 
 def test_ris_serving_two_ius_rejected():

@@ -155,6 +155,7 @@ def test_solve_inner_matches_grid_search():
        log_snr=st.floats(0.0, 6.0), seed=st.integers(0, 2 ** 32 - 1))
 @example(k=5, rank_one=True, log_snr=6.0, seed=1)
 @example(k=8, rank_one=False, log_snr=0.0, seed=2)
+@example(k=8, rank_one=True, log_snr=3.7371442937584174, seed=8)
 def test_newton_inner_solver_matches_armijo_oracle(k, rank_one, log_snr,
                                                    seed):
     # dense gains, or rank-one g = a b^T whose Hessian is singular; the
