@@ -334,9 +334,12 @@ def gather_gains(channels, links):
     """(C, K, K) gain matrices of C associations, the rows of links (entry
     i is 0 for IU i's direct link, l + 1 for RIS l): g[c, k, i] =
     link_gains[links[c, i], k, i]; links out of 0..L and zero channels
-    raise. Rows are not checked one-to-one: that check stays with the
-    Association constructor."""
+    raise, as do links that are not rows of K entries. Rows are not checked
+    one-to-one: that check stays with the Association constructor."""
     links = np.asarray(links, dtype=np.intp)
+    if links.ndim != 2 or links.shape[1] != channels.num_ius:
+        raise DimensionError(f"links of shape {links.shape} are not rows of "
+                             f"K = {channels.num_ius} entries")
     _check_link_range(links, channels.num_riss)
     check_zero_channels(channels, links)
     users = np.arange(links.shape[1])

@@ -1,17 +1,20 @@
 """Scenario configuration: the validated scenario type and its file parser.
 
-`ScenarioConfig.__post_init__` holds every rule on a scenario value, so a
-config built by `parse_config`, by `with_updates` or directly passes the
-same checks, and nothing downstream repeats them. Errors name the config
-key. The parser only converts text: config files are flat ``key = value``
-lines (``#`` comments allowed), missing keys take the documented defaults,
-and every value is converted to SI units once, here, so the rest of the
-package works in Hz, meters, and linear watts. A value may carry the key's
+Every `ScenarioConfig` field is named by its config key and holds the
+value in that key's unit, as written in a file, a flag or `with_updates`;
+the SI values the package works in (Hz, watts) are derived properties.
+`ScenarioConfig.__post_init__` holds every rule on a value, its type and
+its range, so a config built by `parse_config`, by `with_updates` or
+directly passes the same checks, and nothing downstream repeats them.
+Errors name the config key. The parser only converts text: config files
+are flat ``key = value`` lines (``#`` comments allowed), missing keys take
+the documented defaults, and a single-valued key's value may carry its
 unit as a suffix ("p_max_dbm = 23 dBm"). Command-line flags arrive as
 ``(key, text)`` overrides of the same keys.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -27,54 +30,65 @@ def dbm_to_watt(dbm):
         return math.inf
 
 
-def watt_to_dbm(watt):
-    return 10.0 * math.log10(float(watt)) + 30.0
-
-
-# bound text -> check on the SI value
+# bound text -> check on the value in its key's unit
+_POWER = "a positive, finite power in W"
 _BOUNDS = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0,
            ">= 1": lambda x: x >= 1, "finite": math.isfinite,
-           "in [0, 2^64)": lambda x: 0 <= x < 2 ** 64}
+           "in [0, 2^64)": lambda x: 0 <= x < 2 ** 64,
+           _POWER: lambda x: 0.0 < dbm_to_watt(x) < math.inf}
 
-# field: (config key, unit suffix, scale from the key's unit to SI, bound)
+# key: (unit suffix, bound)
 _RANGES = {
-    "carrier_freq_hz": ("carrier_freq_ghz", "ghz", 1e9, "> 0"),
-    "num_antennas": ("num_antennas", "", 1, ">= 1"),
-    "num_ius": ("num_ius", "", 1, ">= 1"),
-    "num_riss": ("num_riss", "", 1, ">= 0"),
-    "ris_elements_y": ("ris_elements_y", "", 1, ">= 1"),
-    "ris_elements_z": ("ris_elements_z", "", 1, ">= 1"),
-    "area_m2": ("area_m2", "m2", 1.0, "> 0"),
-    "noise_density_dbm_hz": ("noise_density_dbm_hz", "dbm/hz", 1.0, "finite"),
-    "noise_figure_db": ("noise_figure_db", "db", 1.0, "finite"),
-    "bandwidth_hz": ("bandwidth_mhz", "mhz", 1e6, "> 0"),
-    "ap_height_m": ("ap_height_m", "m", 1.0, ">= 0"),
-    "ris_height_m": ("ris_height_m", "m", 1.0, ">= 0"),
-    "iu_height_m": ("iu_height_m", "m", 1.0, ">= 0"),
-    "min_ap_iu_separation_m": ("min_ap_iu_separation_m", "m", 1.0, ">= 0"),
-    "pathloss_exponent": ("pathloss_exponent", "", 1.0, "> 0"),
-    "power_rounds": ("power_rounds", "", 1, ">= 1"),
-    "exhaustive_cap": ("exhaustive_cap", "", 1, ">= 1"),
-    "realizations": ("realizations", "", 1, ">= 1"),
-    "master_seed": ("master_seed", "", 1, "in [0, 2^64)"),
+    "carrier_freq_ghz": ("ghz", "> 0"),
+    "num_antennas": ("", ">= 1"),
+    "num_ius": ("", ">= 1"),
+    "num_riss": ("", ">= 0"),
+    "ris_elements_y": ("", ">= 1"),
+    "ris_elements_z": ("", ">= 1"),
+    "area_m2": ("m2", "> 0"),
+    "p_max_dbm": ("dbm", _POWER),
+    "noise_density_dbm_hz": ("dbm/hz", "finite"),
+    "noise_figure_db": ("db", "finite"),
+    "bandwidth_mhz": ("mhz", "> 0"),
+    "ap_height_m": ("m", ">= 0"),
+    "ris_height_m": ("m", ">= 0"),
+    "iu_height_m": ("m", ">= 0"),
+    "min_ap_iu_separation_m": ("m", ">= 0"),
+    "pathloss_exponent": ("", "> 0"),
+    "power_rounds": ("", ">= 1"),
+    "exhaustive_cap": ("", ">= 1"),
+    "realizations": ("", ">= 1"),
+    "master_seed": ("", "in [0, 2^64)"),
 }
+
+# list key: type of its entries
+_ITEMS = {"power_sweep_dbm": float, "element_sweep": int}
+
+
+def _check_type(key, value, kind):
+    """Raise unless `value` is an integer (kind int) or a real number (kind
+    float); a bool is neither."""
+    abc = numbers.Integral if kind is int else numbers.Real
+    if not isinstance(value, abc) or isinstance(value, bool):
+        noun = "an integer" if kind is int else "a real number"
+        raise ConfigError(f"{key}: {value!r} is not {noun}")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved scenario in SI units, checked on construction."""
+    """Fully resolved scenario in its keys' units, checked on construction."""
 
-    carrier_freq_hz: float = 15e9
+    carrier_freq_ghz: float = 15.0
     num_antennas: int = 64
     num_ius: int = 5
     num_riss: int = 3
     ris_elements_y: int = 100
     ris_elements_z: int = 100
     area_m2: float = 100.0
-    p_max_w: float = dbm_to_watt(23.0)
+    p_max_dbm: float = 23.0
     noise_density_dbm_hz: float = -174.0
     noise_figure_db: float = 10.0
-    bandwidth_hz: float = 400e6
+    bandwidth_mhz: float = 400.0
     ap_height_m: float = 10.0
     ris_height_m: float = 5.0
     iu_height_m: float = 1.5
@@ -92,15 +106,12 @@ class ScenarioConfig:
     rho_variant = "derivative"
 
     def __post_init__(self):
-        for field, (key, _, scale, bounds) in _RANGES.items():
-            value = getattr(self, field)
-            if not _BOUNDS[bounds](value):
-                shown = value if scale == 1 else value / scale
+        for key, (_, bound) in _RANGES.items():
+            value = getattr(self, key)
+            _check_type(key, value, _TYPES[key])
+            if not _BOUNDS[bound](value):
                 raise ConfigError(
-                    f"{key}: value {shown} out of range, must be {bounds}")
-        if not 0.0 < self.p_max_w < math.inf:
-            raise ConfigError(f"p_max_dbm: budget of {self.p_max_w} W out "
-                              "of range, must be positive and finite")
+                    f"{key}: value {value} out of range, must be {bound}")
         for key in ("schemes", "power_sweep_dbm", "element_sweep"):
             values = tuple(getattr(self, key))
             object.__setattr__(self, key, values)
@@ -112,13 +123,16 @@ class ScenarioConfig:
                     f"schemes: {s!r} not one of {', '.join(SCHEME_NAMES)}")
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigError("schemes: duplicate entries")
-        for key in ("power_sweep_dbm", "element_sweep"):
+        for key, kind in _ITEMS.items():
             values = getattr(self, key)
+            for v in values:
+                _check_type(key, v, kind)
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigError(f"{key}: values must be strictly increasing")
         for v in self.power_sweep_dbm:
-            if not 0.0 < dbm_to_watt(v) < math.inf:
-                raise ConfigError(f"power_sweep_dbm: {v} is out of range")
+            if not _BOUNDS[_POWER](v):
+                raise ConfigError(f"power_sweep_dbm: value {v} out of range, "
+                                  f"must be {_POWER}")
         for v in self.element_sweep:
             if v < 1 or math.isqrt(v) ** 2 != v:
                 raise ConfigError(f"element_sweep: {v} is not a perfect "
@@ -130,9 +144,16 @@ class ScenarioConfig:
                 f"({diagonal:.3f} m), got {self.min_ap_iu_separation_m}")
 
     @property
-    def p_max_dbm(self):
-        """The budget in dBm, rounded to 10 decimals as it is written out."""
-        return round(watt_to_dbm(self.p_max_w), 10)
+    def carrier_freq_hz(self):
+        return self.carrier_freq_ghz * 1e9
+
+    @property
+    def bandwidth_hz(self):
+        return self.bandwidth_mhz * 1e6
+
+    @property
+    def p_max_w(self):
+        return dbm_to_watt(self.p_max_dbm)
 
     @property
     def num_elements(self):
@@ -154,9 +175,6 @@ class ScenarioConfig:
 
 
 _TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
-# config key -> (field, unit suffix, scale to SI)
-_KEYS = {key: (field, unit, scale)
-         for field, (key, unit, scale, _) in _RANGES.items()}
 
 
 def _strip_unit(raw, unit):
@@ -178,22 +196,17 @@ def _split(raw):
 
 
 def _apply_key(out, key, raw):
-    """Convert one key's text to its SI field value in `out`; range checks
+    """Convert one key's text to its value in `out`; type and range checks
     are left to ScenarioConfig."""
     raw = raw.strip()
-    if key in _KEYS:
-        field, unit, scale = _KEYS[key]
-        out[field] = _parse_number(_strip_unit(raw, unit), key,
-                                   _TYPES[field]) * scale
-    elif key == "p_max_dbm":
-        out["p_max_w"] = dbm_to_watt(
-            _parse_number(_strip_unit(raw, "dbm"), key, float))
+    if key in _RANGES:
+        out[key] = _parse_number(_strip_unit(raw, _RANGES[key][0]), key,
+                                 _TYPES[key])
     elif key == "schemes":
         out[key] = tuple(_split(raw))
-    elif key == "power_sweep_dbm":
-        out[key] = tuple(_parse_number(v, key, float) for v in _split(raw))
-    elif key == "element_sweep":
-        out[key] = tuple(_parse_number(v, key, int) for v in _split(raw))
+    elif key in _ITEMS:
+        out[key] = tuple(_parse_number(v, key, _ITEMS[key])
+                         for v in _split(raw))
     else:
         raise ConfigError(f"unknown config key: {key}")
 
@@ -230,20 +243,14 @@ def load_config(path, overrides=()):
 
 
 def format_config(cfg):
-    """The config as a config file, each key in its file units, for run
-    logs; derived values follow as comments. Parsing the text gives back
-    the config."""
+    """The config as a config file, for run logs; derived values follow as
+    comments. Parsing the text gives back the config."""
     lines = []
     for f in fields(cfg):
-        key, value = f.name, getattr(cfg, f.name)
-        if key in _RANGES:
-            key, _, scale, _ = _RANGES[key]
-            value = value if scale == 1 else value / scale
-        elif key == "p_max_w":
-            key, value = "p_max_dbm", cfg.p_max_dbm
-        elif isinstance(value, tuple):
+        value = getattr(cfg, f.name)
+        if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
-        lines.append(f"{key} = {value}")
+        lines.append(f"{f.name} = {value}")
     for name in ("p_max_w", "num_elements", "area_side_m", "noise_power_w"):
         lines.append(f"# {name} = {getattr(cfg, name)}")
     return "\n".join(lines)

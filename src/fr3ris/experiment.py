@@ -44,7 +44,7 @@ from .association import (exhaustive_association, greedy_association,
                           match_deferred_acceptance, random_association,
                           utility_matrix)
 from .channel import gains_for_association, synthesize_channels
-from .config import SCHEME_NAMES, dbm_to_watt
+from .config import SCHEME_NAMES
 from .errors import ConfigError
 from .power_sca import sca_power_for_config
 from .rate import sum_rate
@@ -208,7 +208,7 @@ def resolve_workers():
 
 def _config_for_point(cfg, variable, value):
     if variable == "power":
-        return cfg.with_updates(p_max_w=dbm_to_watt(value))
+        return cfg.with_updates(p_max_dbm=value)
     if variable == "elements":
         side = math.isqrt(value)
         return cfg.with_updates(ris_elements_y=side, ris_elements_z=side)

@@ -226,7 +226,7 @@ def test_topologies_of_one_point_share_one_read_only_link():
     riss[1, 0] += 0.5
     for t, c in ((NetworkTopology(ap=topo.ap, riss=riss, ius=topo.ius), cfg),
                  (NetworkTopology(ap=ap, riss=topo.riss, ius=topo.ius), cfg),
-                 (topo, cfg.with_updates(carrier_freq_hz=10e9)),
+                 (topo, cfg.with_updates(carrier_freq_ghz=10.0)),
                  (topo, cfg.with_updates(pathloss_exponent=2.5)),
                  (topo, cfg.with_updates(ris_elements_y=3)),
                  (topo, cfg.with_updates(num_antennas=5))):
@@ -767,6 +767,18 @@ def test_links_out_of_range_raise_where_they_are_read(bad):
             link_rates(ch, links, np.ones(2), 1e-11)
     with pytest.raises(NumericError, match=message):
         Association(links=[bad, 0], num_riss=2)
+
+
+def test_links_of_the_wrong_width_raise_where_they_are_read():
+    # rows of 3 entries on a K = 5 table would read the first three IUs'
+    # gains as a three-IU network; a 1-D row or a row past K would raise a
+    # bare IndexError
+    ch = rand_channelset(np.random.default_rng(59), k=5, l=2, m=3, n=4)
+    for links in ([[0, 1, 0]], [0, 1, 0, 0, 0], [[0] * 7]):
+        with pytest.raises(DimensionError, match="K = 5"):
+            gather_gains(ch, links)
+        with pytest.raises(DimensionError, match="K = 5"):
+            link_rates(ch, links, np.ones(5), 1e-11)
 
 
 def test_ris_serving_two_ius_rejected():

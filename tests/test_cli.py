@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from fr3ris import cli, experiment
-from fr3ris.config import ScenarioConfig
+from fr3ris.config import ScenarioConfig, dbm_to_watt
 from fr3ris.errors import ConfigError, NumericError
 
 TINY = """
@@ -79,6 +79,27 @@ def test_run_logs_seed_and_version(tiny_cfg, tmp_path, caplog):
     joined = "\n".join(r.getMessage() for r in caplog.records)
     assert "master seed: 11" in joined
     assert "fr3ris" in joined
+
+
+def test_run_writes_and_runs_the_budget_as_configured(tmp_path, monkeypatch):
+    # a budget past 10 decimals is rounded neither in the CSV nor in the run
+    dbm = 20.00000000004
+    path = tmp_path / "budget.cfg"
+    path.write_text(TINY + f"p_max_dbm = {dbm}\n")
+    budgets = []
+    run_schemes = experiment._run_schemes
+
+    def recording(cfg, index, schemes):
+        budgets.append(cfg.p_max_w)
+        return run_schemes(cfg, index, schemes)
+
+    monkeypatch.setattr(experiment, "_run_schemes", recording)
+    monkeypatch.delenv("FR3_THREADS", raising=False)
+    out = tmp_path / "run.csv"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert {row.split(",")[1] for row in rows} == {f"{dbm:.17g}"} != {"20"}
+    assert budgets == [dbm_to_watt(dbm)] * 2
 
 
 def test_sweep_power_values_override(tiny_cfg, tmp_path):

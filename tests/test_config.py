@@ -1,10 +1,19 @@
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fr3ris.config import (ScenarioConfig, dbm_to_watt, format_config,
-                           parse_config, watt_to_dbm)
+                           parse_config)
 from fr3ris.errors import ConfigError
+
+
+def watt_to_dbm(watt):
+    return 10.0 * math.log10(watt) + 30.0
 
 
 def test_empty_config_gives_documented_defaults():
@@ -135,15 +144,18 @@ def test_direct_construction_runs_the_same_checks():
     assert cfg.element_sweep == (4, 16)
     for bad, match in ((dict(schemes=("greedy", "greedy")), "duplicate"),
                        (dict(schemes=()), "schemes.*at least one"),
-                       (dict(carrier_freq_hz=0.0), "carrier_freq_ghz.*> 0"),
-                       (dict(p_max_w=math.nan), "p_max_dbm"),
-                       (dict(p_max_w=0.0), "p_max_dbm"),
+                       (dict(carrier_freq_ghz=0.0), "carrier_freq_ghz.*> 0"),
+                       (dict(p_max_dbm=math.nan), "p_max_dbm"),
+                       (dict(p_max_dbm=-math.inf), "p_max_dbm"),
+                       (dict(p_max_dbm=-5000.0), "p_max_dbm"),
                        (dict(area_m2=4.0, min_ap_iu_separation_m=3.0),
                         "min_ap_iu_separation_m")):
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig(**bad)
     with pytest.raises(TypeError, match="rho_variant"):
         ScenarioConfig().with_updates(rho_variant="derivative")
+    # an int stands for a real number
+    assert ScenarioConfig(area_m2=25, p_max_dbm=20).p_max_w == 0.1
     for text in ("nan", "4000"):
         with pytest.raises(ConfigError, match="p_max_dbm"):
             parse_config(f"p_max_dbm = {text}")
@@ -188,3 +200,57 @@ def test_formatted_config_parses_back_to_itself(text):
     out = format_config(cfg)
     assert parse_config(out) == cfg
     assert sorted(_keys(out)) == sorted(_keys(_EVERY_KEY))
+
+
+_TYPE_ERRORS = [("num_ius", 2.5), ("master_seed", 1.5), ("realizations", True),
+                ("area_m2", "100"), ("p_max_dbm", False),
+                ("element_sweep", (100.0,)), ("power_sweep_dbm", ("10",)),
+                ("power_sweep_dbm", (10.0, True))]
+
+
+@pytest.mark.parametrize("key, value", _TYPE_ERRORS,
+                         ids=[f"{k}={v!r}" for k, v in _TYPE_ERRORS])
+def test_values_of_the_wrong_type_are_refused_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=f"{key}: .* is not an? "):
+        ScenarioConfig(**{key: value})
+    with pytest.raises(ConfigError, match=f"{key}: .* is not an? "):
+        ScenarioConfig().with_updates(**{key: value})
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(p_max_dbm=st.floats(-3000.0, 3000.0), carrier_freq_ghz=_POSITIVE,
+       bandwidth_mhz=_POSITIVE)
+def test_format_then_parse_gives_back_every_value_exactly(
+        p_max_dbm, carrier_freq_ghz, bandwidth_mhz):
+    cfg = ScenarioConfig(p_max_dbm=p_max_dbm, carrier_freq_ghz=carrier_freq_ghz,
+                         bandwidth_mhz=bandwidth_mhz)
+    assert parse_config(format_config(cfg)) == cfg
+
+
+def test_fields_are_exactly_the_config_keys():
+    # each line format_config writes parses alone; every other public name
+    # of the class (the derived SI values, the class constant) is an
+    # unknown key
+    cfg = ScenarioConfig()
+    names = {f.name for f in fields(ScenarioConfig)}
+    text = format_config(cfg)
+    assert set(_keys(text)) == names
+    for line in text.splitlines():
+        assert parse_config(line) == cfg
+    for name in set(dir(ScenarioConfig)) - names:
+        if not name.startswith("_"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                parse_config(f"{name} = 1")
+
+
+def test_readme_configuration_table_lists_every_key():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert keys == {f.name for f in fields(ScenarioConfig)}
