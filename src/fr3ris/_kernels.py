@@ -6,6 +6,8 @@ reaches `project_capped_simplex` and `surrogate_value` through module
 globals, so wrapping either name here wraps every call the solver makes.
 """
 
+import math
+
 import numpy as np
 
 _LN2 = float(np.log(2.0))
@@ -17,16 +19,17 @@ _LN2 = float(np.log(2.0))
 
 def project_capped_simplex(y, p_max):
     q = np.maximum(y, 0.0)
-    if np.sum(q) <= p_max:
+    if q.sum() <= p_max:
         return q
-    # sorted-threshold projection onto the simplex sum(q) = p_max
-    u = -np.sort(-y)
-    css = np.cumsum(u)
-    k = y.shape[0]
-    rho = 0
-    for j in range(k):
-        if u[j] - (css[j] - p_max) / (j + 1.0) > 0.0:
-            rho = j
+    # sorted-threshold projection onto the simplex sum(q) = p_max: tau is
+    # set by the last sorted entry j that stays above its threshold
+    u = -y
+    u.sort()
+    u = -u
+    css = u.cumsum()
+    above = (u - (css - p_max) / np.arange(1.0, len(y) + 1.0)
+             > 0.0).nonzero()[0]
+    rho = above[-1] if len(above) else 0
     tau = (css[rho] - p_max) / (rho + 1.0)
     return np.maximum(y - tau, 0.0)
 
@@ -53,7 +56,7 @@ _REACH = 10.0
 
 def surrogate_value(g, sigma2, rho_col, p):
     d = g @ p + sigma2
-    return np.sum(np.log2(d)) - np.dot(rho_col, p)
+    return np.log2(d).sum() - np.dot(rho_col, p)
 
 
 def _stationarity(g, sigma2, rho_col, p, p_max):
@@ -65,8 +68,8 @@ def _stationarity(g, sigma2, rho_col, p, p_max):
     y = p + grad
     q = project_capped_simplex(y, p_max)
     on = q > 0.0
-    mu = float(np.max(y[on] - q[on])) if on.any() else 0.0
-    return d, grad, float(np.sqrt(np.dot(p - q, p - q))), mu
+    mu = float((y[on] - q[on]).max()) if on.any() else 0.0
+    return d, grad, math.sqrt(np.dot(p - q, p - q)), mu
 
 
 def _newton_step(g, d, grad, mu, p, p_max):
@@ -79,22 +82,24 @@ def _newton_step(g, d, grad, mu, p, p_max):
     gf = g[:, free]
     n = gf.shape[1]
     bind = int(mu > 0.0)
-    kkt = np.zeros((n + bind, n + bind))
+    size = n + bind
+    kkt = np.zeros((size, size))
     kkt[:n, :n] = (gf.T * (1.0 / (d * d * _LN2))) @ gf
-    top = float(np.max(np.diag(kkt)))
+    top = float(kkt.diagonal().max())
     scale = top if top > 0.0 else 1.0
-    kkt[np.arange(n), np.arange(n)] += _DAMP * scale
-    rhs = np.zeros(n + bind)
+    # kkt is C-ordered, so its flat view steps along the diagonal
+    kkt.ravel()[:n * (size + 1):size + 1] += _DAMP * scale
+    rhs = np.zeros(size)
     rhs[:n] = grad[free]
     if bind:
         kkt[n, :n] = kkt[:n, n] = scale
-        rhs[n] = scale * (p_max - np.sum(p))
-    step = np.zeros_like(p)
+        rhs[n] = scale * (p_max - p.sum())
+    step = np.zeros(len(p))
     step[free] = np.linalg.solve(kkt, rhs)[:n]
     # damped singular directions give steps of ~1e10 p_max, which cost
     # the projection its precision; _REACH p_max still carries the
     # projection past every face of the set, so zeros land exactly
-    reach = float(np.max(np.abs(step)))
+    reach = float(np.abs(step).max())
     if reach > _REACH * p_max:
         step *= _REACH * p_max / reach
     return step

@@ -17,7 +17,9 @@ RIS the table works on the link's (M, r) element side (see ChannelSet):
 over cache-sized blocks of elements, the unit co-phasing coefficients of
 all K IUs are formed once and one (K, block) x (block, K r) product,
 numerics.matvec_hermitian, accumulates every IU's cascade co-phased for
-every IU, a (K, K, r) array.
+every IU, a (K, K, r) array. Where the links have zero stride along the
+elements, as synthesized ones do, the coefficients are formed on one
+element per block and broadcast into the product's operands.
 Each served IU's (K, N) channel slab is then its (K, r) slice plus the
 direct channels, which broadcasts along the antennas when r = 1. An
 Association is a link vector of such table indices, one per IU.
@@ -53,7 +55,10 @@ class ChannelSet:
     stride is checked finite once. An ap_ris with zero stride
     along the antenna axis is constant along it, so the table reads only
     its first antenna column, ap_ris[:, :, :1] (r = 1). Any other ap_ris
-    is read whole (r = N).
+    is read whole (r = N). Along an element axis of zero stride, of
+    ris_iu or of that element side, the co-phasing coefficients are
+    formed on one element per block, which gives the table of the links
+    materialized.
     """
 
     direct: np.ndarray   # (K, N) AP -> IU
@@ -242,7 +247,7 @@ def _all_finite(arr):
     real and imaginary parts, which propagate both, so without an
     input-sized mask. An axis of zero stride repeats one entry and is read
     once."""
-    arr = arr[tuple(slice(None) if s else slice(1) for s in arr.strides)]
+    arr = _distinct(arr)
     return all(np.isfinite(p.min(initial=0.0))
                and np.isfinite(p.max(initial=0.0))
                for p in (arr.real, arr.imag))
@@ -258,20 +263,34 @@ def _cascade(u, ris_iu):
     the unit coefficient of (conj(u[e, 0]) ris_iu[j, e]), summed over
     element blocks of one (K, block) x (block, K r) Hermitian product
     each, matvec_hermitian(v, ris_iu[:, block]) with v[e, j r + q] =
-    phase[j, e] u[e, q].
+    phase[j, e] u[e, q]. The elementwise work runs on _distinct views,
+    so on one element of a block whose links repeat it; v and the block
+    of ris_iu are materialized for the product either way.
     """
     k, rank = ris_iu.shape[0], u.shape[1]
     step = max(1, _ENTRIES // max(k * rank, 1))
     out = np.zeros((k, k * rank), dtype=np.complex128)
     for m0 in range(0, len(u), step):
         blk = slice(m0, m0 + step)
-        # a unit-stride copy: the elementwise work below, the conjugate
-        # in matvec_hermitian included, is slower on a zero-stride view
-        ub, every = u[blk], np.ascontiguousarray(ris_iu[:, blk])
-        phase = _unit(np.conj(ub[:, 0]) * every)
-        v = phase.T[:, :, None] * ub[:, None, :]
-        out += matvec_hermitian(v.reshape(len(ub), k * rank), every)
+        ub, rb = _distinct(u[blk]), _distinct(ris_iu[:, blk])
+        # a (1, block) row: numpy 2.4 multiplies a (1,) by a (1, 1)
+        # complex array without the fused multiply-add of its other
+        # complex products, so a 1-d row would round differently at K = 1
+        phase = _unit(np.conj(ub[:, :1].T) * rb)
+        n = min(step, len(u) - m0)
+        # materialized in the layout numpy gives the product on dense
+        # links, so the same BLAS call sees the same operands
+        v = np.empty((k, n, rank), dtype=np.complex128).transpose(1, 0, 2)
+        np.multiply(phase.T[:, :, None], ub[:, None, :], out=v)
+        out += matvec_hermitian(v.reshape(n, k * rank),
+                                np.ascontiguousarray(ris_iu[:, blk]))
     return out.reshape(k, k, rank)
+
+
+def _distinct(arr):
+    """arr read once along every axis of zero stride, which repeats one
+    entry: a view that broadcasts back to arr."""
+    return arr[tuple(slice(None) if s else slice(1) for s in arr.strides)]
 
 
 def _unit(z):
@@ -279,6 +298,8 @@ def _unit(z):
     it is exp(j angle(z)) itself, so signed zeros keep np.angle's
     convention."""
     mag = np.abs(z)
+    if mag.all():
+        return z * np.reciprocal(mag, out=mag)
     zero = mag == 0.0
     mag[zero] = 1.0
     out = z * np.reciprocal(mag, out=mag)

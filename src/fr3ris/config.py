@@ -30,34 +30,37 @@ def dbm_to_watt(dbm):
         return math.inf
 
 
-# bound text -> check on the value in its key's unit
+# bound text -> check on the value in its key's unit; NaN fails every
+# comparison, and the strict upper bound inf refuses inf
 _POWER = "a positive, finite power in W"
-_BOUNDS = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0,
-           ">= 1": lambda x: x >= 1, "finite": math.isfinite,
+_BOUNDS = {"> 0 and finite": lambda x: 0 < x < math.inf,
+           ">= 0 and finite": lambda x: 0 <= x < math.inf,
+           ">= 1 and finite": lambda x: 1 <= x < math.inf,
+           "finite": math.isfinite,
            "in [0, 2^64)": lambda x: 0 <= x < 2 ** 64,
            _POWER: lambda x: 0.0 < dbm_to_watt(x) < math.inf}
 
 # key: (unit suffix, bound)
 _RANGES = {
-    "carrier_freq_ghz": ("ghz", "> 0"),
-    "num_antennas": ("", ">= 1"),
-    "num_ius": ("", ">= 1"),
-    "num_riss": ("", ">= 0"),
-    "ris_elements_y": ("", ">= 1"),
-    "ris_elements_z": ("", ">= 1"),
-    "area_m2": ("m2", "> 0"),
+    "carrier_freq_ghz": ("ghz", "> 0 and finite"),
+    "num_antennas": ("", ">= 1 and finite"),
+    "num_ius": ("", ">= 1 and finite"),
+    "num_riss": ("", ">= 0 and finite"),
+    "ris_elements_y": ("", ">= 1 and finite"),
+    "ris_elements_z": ("", ">= 1 and finite"),
+    "area_m2": ("m2", "> 0 and finite"),
     "p_max_dbm": ("dbm", _POWER),
     "noise_density_dbm_hz": ("dbm/hz", "finite"),
     "noise_figure_db": ("db", "finite"),
-    "bandwidth_mhz": ("mhz", "> 0"),
-    "ap_height_m": ("m", ">= 0"),
-    "ris_height_m": ("m", ">= 0"),
-    "iu_height_m": ("m", ">= 0"),
-    "min_ap_iu_separation_m": ("m", ">= 0"),
-    "pathloss_exponent": ("", "> 0"),
-    "power_rounds": ("", ">= 1"),
-    "exhaustive_cap": ("", ">= 1"),
-    "realizations": ("", ">= 1"),
+    "bandwidth_mhz": ("mhz", "> 0 and finite"),
+    "ap_height_m": ("m", ">= 0 and finite"),
+    "ris_height_m": ("m", ">= 0 and finite"),
+    "iu_height_m": ("m", ">= 0 and finite"),
+    "min_ap_iu_separation_m": ("m", ">= 0 and finite"),
+    "pathloss_exponent": ("", "> 0 and finite"),
+    "power_rounds": ("", ">= 1 and finite"),
+    "exhaustive_cap": ("", ">= 1 and finite"),
+    "realizations": ("", ">= 1 and finite"),
     "master_seed": ("", "in [0, 2^64)"),
 }
 
@@ -113,7 +116,10 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"{key}: value {value} out of range, must be {bound}")
         for key in ("schemes", "power_sweep_dbm", "element_sweep"):
-            values = tuple(getattr(self, key))
+            values = getattr(self, key)
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"{key}: {values!r} is not a list")
+            values = tuple(values)
             object.__setattr__(self, key, values)
             if not values:
                 raise ConfigError(f"{key}: list needs at least one value")

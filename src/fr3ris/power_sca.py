@@ -44,11 +44,11 @@ def surrogate_gradient(gm, p_t):
     """Linearization weights rho[k, i] of the interference log at p_t:
     d/dp_i log2(I_k) = g_{k,i} / (I_k ln 2), zero on the diagonal."""
     _, interf = _interference(gm, _check_power(gm, p_t))
-    if np.any(interf <= 0.0):
+    if (interf <= 0.0).any():
         raise NumericError("interference-plus-noise must be positive")
     rho = gm.g / (interf * _LN2)[:, None]
     np.fill_diagonal(rho, 0.0)
-    if not np.all(np.isfinite(rho)):
+    if not np.isfinite(rho).all():
         raise NumericError("non-finite surrogate gradient")
     return rho
 

@@ -20,7 +20,7 @@ def _check_power(gm, p):
     if p.shape != (gm.num_ius,):
         raise DimensionError(
             f"power vector must have shape ({gm.num_ius},), got {p.shape}")
-    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+    if not np.isfinite(p).all() or (p < 0.0).any():
         raise NumericError("powers must be finite and >= 0")
     return p
 

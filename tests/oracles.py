@@ -3,7 +3,8 @@
 Everything here is written from the defining formulas with plain loops or
 dense grids, deliberately sharing no code with the package internals. The
 exceptions are former implementations kept as references:
-`armijo_inner_oracle`, `inline_link_gains`, and `exhaustive_loop_oracle` and
+`project_capped_simplex_loop`, `armijo_inner_oracle`, `inline_link_gains`,
+and `exhaustive_loop_oracle` and
 `utility_gather_oracle`, which score through the package's own gain gather
 and rates so that their results can be compared with `==`. The helpers near the end are evaluators that only tests call;
 they check their inputs with the package's own validators. Last come the
@@ -105,6 +106,23 @@ def project_capped_simplex_oracle(y, p_max, iters=200):
     return np.array([max(v - tau, 0.0) for v in y])
 
 
+def project_capped_simplex_loop(y, p_max):
+    """`_kernels.project_capped_simplex` as it found the simplex threshold
+    with a Python loop over the sorted entries, kept as the reference that
+    its vectorized search is compared with by ==."""
+    q = np.maximum(y, 0.0)
+    if np.sum(q) <= p_max:
+        return q
+    u = -np.sort(-y)
+    css = np.cumsum(u)
+    rho = 0
+    for j in range(y.shape[0]):
+        if u[j] - (css[j] - p_max) / (j + 1.0) > 0.0:
+            rho = j
+    tau = (css[rho] - p_max) / (rho + 1.0)
+    return np.maximum(y - tau, 0.0)
+
+
 def gain_matrix_oracle(direct, ap_ris, ris_iu, gamma):
     """K x K link gains of a one-to-one association, entry by entry.
 
@@ -163,7 +181,10 @@ def inline_link_gains(channels):
         for m0 in range(0, u.shape[1], step):
             ub = u[li, m0:m0 + step]
             every = np.ascontiguousarray(r[li, :, m0:m0 + step])
-            phase = _unit(np.conj(ub[:, 0]) * every)
+            # a (1, block) row, as in _cascade: numpy 2.4 multiplies a
+            # (1,) by a (1, 1) complex array without the fused
+            # multiply-add of its other complex products
+            phase = _unit(np.conj(ub[:, :1].T) * every)
             v = phase.T[:, :, None] * ub[:, None, :]
             out += every @ np.conj(v).reshape(len(ub), k * rank)
         cascade = out.reshape(k, k, rank) * lead[:, None]

@@ -374,6 +374,36 @@ def test_link_table_equals_inline_contraction_bit_for_bit(k, l, n, blocks,
                           equal_nan=True)
 
 
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 6), l=st.integers(1, 3), n=st.integers(1, 8),
+       m=st.integers(2, 20_000), zero=st.integers(0, 17),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(k=5, l=3, n=64, m=10_000, zero=4, seed=0)
+@example(k=1, l=2, n=3, m=8193, zero=0, seed=1)
+def test_zero_stride_reflector_link_gives_the_table_of_its_dense_copy(
+        k, l, n, m, zero, seed):
+    # a reflector link with zero stride along the elements is co-phased on
+    # one element per block and broadcast; its table is == that of the
+    # same link materialized. Both keep the zero-stride feeder link, so
+    # both take the r = 1 path, and one reflector coefficient is zero, so
+    # _unit's zero branch runs
+    rng = np.random.default_rng(seed)
+    direct = rand_complex(rng, k, n)
+    ap_ris = np.broadcast_to(rand_complex(rng, l, 1, 1), (l, m, n))
+    column = rand_complex(rng, l, k, 1)
+    column[zero % l, zero % k] = 0.0
+    view = np.broadcast_to(column, (l, k, m))
+    tables = []
+    for ris_iu in (view, np.array(view)):
+        with mock.patch.object(channel, "_unit", wraps=channel._unit) as unit:
+            ch = ChannelSet(direct=direct, ap_ris=ap_ris, ris_iu=ris_iu,
+                            carrier_freq_hz=15e9)
+        assert any(np.any(c.args[0] == 0.0) for c in unit.call_args_list)
+        assert (ch.ris_iu.strides[2] == 0) == (ris_iu is view)
+        tables.append(ch.link_gains)
+    assert np.array_equal(*tables)
+
+
 def test_kept_link_of_a_non_constant_factor_is_its_exact_product():
     # a link that varies over the elements is kept as given, whether it is
     # a zero-stride view of its (L, M, 1) factor or a rank-one product

@@ -197,6 +197,20 @@ def test_non_square_element_value_exits_2(tiny_cfg, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key", ["carrier_freq_ghz", "bandwidth_mhz",
+                                 "area_m2", "pathloss_exponent"])
+def test_infinite_value_exits_2_naming_the_key(key, tmp_path, caplog):
+    path = tmp_path / "inf.cfg"
+    path.write_text(f"{TINY}{key} = inf\n")
+    out = tmp_path / "x.csv"
+    for argv in (["validate-config"], ["run", "--out", str(out)]):
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="fr3ris"):
+            assert cli.main([*argv, "--config", str(path)]) == 2
+        assert f"{key}: value inf out of range" in caplog.text
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_4(tmp_path):
     code = cli.main(["validate-config", "--config",
                      str(tmp_path / "nope.cfg")])

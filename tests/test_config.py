@@ -217,6 +217,38 @@ def test_values_of_the_wrong_type_are_refused_naming_the_key(key, value):
         ScenarioConfig().with_updates(**{key: value})
 
 
+# every real key whose range is bounded on one side only
+_UNBOUNDED_ABOVE = ("carrier_freq_ghz", "area_m2", "bandwidth_mhz",
+                    "pathloss_exponent", "ap_height_m", "ris_height_m",
+                    "iu_height_m", "min_ap_iu_separation_m")
+_INFINITE = [(key, value) for key in _UNBOUNDED_ABOVE
+             for value in (math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("key, value", _INFINITE,
+                         ids=[f"{k}={v}" for k, v in _INFINITE])
+def test_infinite_values_are_out_of_range_naming_the_key(key, value):
+    match = f"{key}: value {value} out of range, must be .* and finite"
+    with pytest.raises(ConfigError, match=match):
+        ScenarioConfig(**{key: value})
+    with pytest.raises(ConfigError, match=match):
+        parse_config(f"{key} = {value}")
+
+
+_NOT_LISTS = [("schemes", "matching"), ("power_sweep_dbm", 10.0),
+              ("power_sweep_dbm", "10, 13"), ("element_sweep", 100)]
+
+
+@pytest.mark.parametrize("key, value", _NOT_LISTS,
+                         ids=[f"{k}={v!r}" for k, v in _NOT_LISTS])
+def test_list_keys_refuse_a_string_or_a_scalar_naming_the_key(key, value):
+    match = f"{key}: {value!r} is not a list"
+    with pytest.raises(ConfigError, match=match):
+        ScenarioConfig(**{key: value})
+    with pytest.raises(ConfigError, match=match):
+        ScenarioConfig().with_updates(**{key: value})
+
+
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import project_capped_simplex_oracle, rand_complex
+from oracles import (project_capped_simplex_loop,
+                     project_capped_simplex_oracle, rand_complex)
 from fr3ris import numerics
 from fr3ris._kernels import project_capped_simplex
 from fr3ris.errors import DimensionError
@@ -133,3 +134,23 @@ def test_projection_matches_bisection_oracle(y, p_max, shrink_inside):
     np.testing.assert_allclose(q, ref, rtol=0.0, atol=1e-9 * scale)
     assert np.all(q >= 0.0)
     assert q.sum() <= p_max + 1e-9 * scale
+
+
+# dyadic entries and budgets keep the threshold sums exact, so entries
+# that tie, or that sit exactly at the threshold, turn up often
+_dyadic = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(y=st.lists(st.one_of(_dyadic, _entries), min_size=1, max_size=12),
+       p_max=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+                       st.floats(0.01, 20.0)))
+@example(y=[2.0, 1.0], p_max=1.0)  # 1.0 sits exactly at the threshold
+@example(y=[1.0, 1.0, 1.0], p_max=1.0)  # ties above the budget
+@example(y=[3.0, -1.0, 3.0, 0.0], p_max=2.0)  # ties and a negative
+@example(y=[-1.0, 0.3], p_max=1.0)  # feasible once clamped
+@example(y=[0.25, 0.5], p_max=1.0)  # already feasible
+def test_projection_equals_the_loop_threshold_search(y, p_max):
+    y = np.array(y)
+    assert np.array_equal(project_capped_simplex(y, p_max),
+                          project_capped_simplex_loop(y, p_max))
