@@ -160,10 +160,8 @@ class Association:
         links = np.asarray(self.links)
         if links.ndim != 1:
             raise DimensionError(f"links must be 1-d, got shape {links.shape}")
-        if links.dtype.kind not in "iu":
-            raise NumericError(f"links must be integers, got {links.dtype}")
+        _check_links(links, self.num_riss)
         links = links.astype(np.intp)
-        _check_link_range(links, self.num_riss)
         if np.bincount(links)[1:].max(initial=0) > 1:
             raise DimensionError(_ONE_TO_ONE)
         links.setflags(write=False)
@@ -344,9 +342,12 @@ def check_zero_channels(channels, links):
         raise NumericError(f"effective channel of IU {i} is zero")
 
 
-def _check_link_range(links, num_riss):
-    """Raise unless every link is a table index, 0..num_riss: numpy would
+def _check_links(links, num_riss):
+    """Raise unless every link is an integer table index, 0..num_riss: a
+    cast to intp would truncate 1.7 and read True as RIS 1, and numpy would
     read -1 as the last RIS and raise a bare IndexError past it."""
+    if links.dtype.kind not in "iu":
+        raise NumericError(f"links must be integers, got {links.dtype}")
     if np.any(links < 0) or np.any(links > num_riss):
         raise NumericError(f"links must be in 0..{num_riss}")
 
@@ -354,14 +355,16 @@ def _check_link_range(links, num_riss):
 def gather_gains(channels, links):
     """(C, K, K) gain matrices of C associations, the rows of links (entry
     i is 0 for IU i's direct link, l + 1 for RIS l): g[c, k, i] =
-    link_gains[links[c, i], k, i]; links out of 0..L and zero channels
-    raise, as do links that are not rows of K entries. Rows are not checked
-    one-to-one: that check stays with the Association constructor."""
-    links = np.asarray(links, dtype=np.intp)
+    link_gains[links[c, i], k, i]; links that are not integers in 0..L
+    and zero channels raise, as do links that are not rows of K entries.
+    Rows are not checked one-to-one: that check stays with the Association
+    constructor."""
+    links = np.asarray(links)
     if links.ndim != 2 or links.shape[1] != channels.num_ius:
         raise DimensionError(f"links of shape {links.shape} are not rows of "
                              f"K = {channels.num_ius} entries")
-    _check_link_range(links, channels.num_riss)
+    _check_links(links, channels.num_riss)
+    links = links.astype(np.intp, copy=False)
     check_zero_channels(channels, links)
     users = np.arange(links.shape[1])
     return channels.link_gains[links[:, None, :], users[:, None], users]

@@ -12,9 +12,11 @@ import logging
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 from . import __version__
-from .config import SCHEME_NAMES, format_config, load_config, parse_config
+from .config import (SCHEME_NAMES, ScenarioConfig, format_config,
+                     load_config, parse_config)
 from .errors import ConfigError, DimensionError, NumericError, SizeError
 from .experiment import emit_csv, sweep
 
@@ -52,34 +54,29 @@ def _build_parser():
     p_run.add_argument("--out", required=True, metavar="PATH",
                        help="output CSV path")
 
-    p_pow = sub.add_parser("sweep-power", parents=[common],
-                           help="sum rate vs AP power budget")
-    p_pow.add_argument("--out", required=True, metavar="PATH")
-    p_pow.add_argument("--values", dest="power_sweep_dbm", metavar="LIST",
-                       help="override power_sweep_dbm, a comma list of dBm "
-                            "points")
-
-    p_el = sub.add_parser("sweep-elements", parents=[common],
-                          help="sum rate vs RIS element count")
-    p_el.add_argument("--out", required=True, metavar="PATH")
-    p_el.add_argument("--values", dest="element_sweep", metavar="LIST",
-                      help="override element_sweep, a comma list of element "
-                           "counts")
+    for verb, key, what, points in (
+            ("sweep-power", "power_sweep_dbm", "AP power budget", "dBm points"),
+            ("sweep-elements", "element_sweep", "RIS element count",
+             "element counts")):
+        p_sweep = sub.add_parser(verb, parents=[common],
+                                 help=f"sum rate vs {what}")
+        p_sweep.add_argument("--out", required=True, metavar="PATH")
+        p_sweep.add_argument("--values", dest=key, metavar="LIST",
+                             help=f"override {key}, a comma list of {points} "
+                                  "(write --values=LIST when LIST starts "
+                                  "with '-')")
 
     sub.add_parser("validate-config", parents=[common],
                    help="parse, validate, and echo the resolved config")
     return parser
 
 
-_FLAG_KEYS = ("master_seed", "realizations", "schemes", "power_sweep_dbm",
-              "element_sweep")
-
-
 def _load(args):
     """Config file (or defaults) with the given flags applied as overrides
     of their keys, so a flag passes the same checks as a config line."""
-    overrides = [(key, getattr(args, key)) for key in _FLAG_KEYS
-                 if getattr(args, key, None) is not None]
+    keys = {f.name for f in fields(ScenarioConfig)}
+    overrides = [(key, value) for key, value in vars(args).items()
+                 if key in keys and value is not None]
     if args.config:
         return load_config(args.config, overrides)
     return parse_config("", overrides)

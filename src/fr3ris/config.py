@@ -1,21 +1,23 @@
 """Scenario configuration: the validated scenario type and its file parser.
 
-Every `ScenarioConfig` field is named by its config key and holds the
-value in that key's unit, as written in a file, a flag or `with_updates`;
-the SI values the package works in (Hz, watts) are derived properties.
-`ScenarioConfig.__post_init__` holds every rule on a value, its type and
-its range, so a config built by `parse_config`, by `with_updates` or
-directly passes the same checks, and nothing downstream repeats them.
-Errors name the config key. The parser only converts text: config files
-are flat ``key = value`` lines (``#`` comments allowed), missing keys take
-the documented defaults, and a single-valued key's value may carry its
-unit as a suffix ("p_max_dbm = 23 dBm"). Command-line flags arrive as
-``(key, text)`` overrides of the same keys.
+Every `ScenarioConfig` field is named by its config key, declares the
+key's default, unit suffix and range bound (a list key: the type and
+bound of its entries), and holds the value in that key's unit, as written
+in a file, a flag or `with_updates`; the SI values the package works in
+(Hz, watts) are derived properties. `ScenarioConfig.__post_init__` reads
+those declarations and holds every rule on a value, so a config built by
+`parse_config`, by `with_updates` or directly passes the same checks, and
+nothing downstream repeats them. Errors name the config key. The parser
+only converts text: config files are flat ``key = value`` lines (``#``
+comments allowed), missing keys take the documented defaults, and a
+single-valued key's value may carry its unit as a suffix ("p_max_dbm =
+23 dBm"). Command-line flags arrive as ``(key, text)`` overrides of the
+same keys.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 
@@ -40,105 +42,85 @@ _BOUNDS = {"> 0 and finite": lambda x: 0 < x < math.inf,
            "in [0, 2^64)": lambda x: 0 <= x < 2 ** 64,
            _POWER: lambda x: 0.0 < dbm_to_watt(x) < math.inf}
 
-# key: (unit suffix, bound)
-_RANGES = {
-    "carrier_freq_ghz": ("ghz", "> 0 and finite"),
-    "num_antennas": ("", ">= 1 and finite"),
-    "num_ius": ("", ">= 1 and finite"),
-    "num_riss": ("", ">= 0 and finite"),
-    "ris_elements_y": ("", ">= 1 and finite"),
-    "ris_elements_z": ("", ">= 1 and finite"),
-    "area_m2": ("m2", "> 0 and finite"),
-    "p_max_dbm": ("dbm", _POWER),
-    "noise_density_dbm_hz": ("dbm/hz", "finite"),
-    "noise_figure_db": ("db", "finite"),
-    "bandwidth_mhz": ("mhz", "> 0 and finite"),
-    "ap_height_m": ("m", ">= 0 and finite"),
-    "ris_height_m": ("m", ">= 0 and finite"),
-    "iu_height_m": ("m", ">= 0 and finite"),
-    "min_ap_iu_separation_m": ("m", ">= 0 and finite"),
-    "pathloss_exponent": ("", "> 0 and finite"),
-    "power_rounds": ("", ">= 1 and finite"),
-    "exhaustive_cap": ("", ">= 1 and finite"),
-    "realizations": ("", ">= 1 and finite"),
-    "master_seed": ("", "in [0, 2^64)"),
-}
 
-# list key: type of its entries
-_ITEMS = {"power_sweep_dbm": float, "element_sweep": int}
+def _key(default, bound=None, unit="", item=None):
+    """Field of one config key: its default, the range bound its value must
+    meet and the unit suffix its text may carry. A list key names the type
+    of its entries as `item` instead, and its bound applies to each entry."""
+    return field(default=default,
+                 metadata={"bound": bound, "unit": unit, "item": item})
 
 
-def _check_type(key, value, kind):
+def _check(key, value, kind, bound=None):
     """Raise unless `value` is an integer (kind int) or a real number (kind
-    float); a bool is neither."""
+    float), a bool being neither, within `bound` if one is given."""
     abc = numbers.Integral if kind is int else numbers.Real
     if not isinstance(value, abc) or isinstance(value, bool):
         noun = "an integer" if kind is int else "a real number"
         raise ConfigError(f"{key}: {value!r} is not {noun}")
+    if bound is not None and not _BOUNDS[bound](value):
+        raise ConfigError(f"{key}: value {value} out of range, must be {bound}")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully resolved scenario in its keys' units, checked on construction."""
 
-    carrier_freq_ghz: float = 15.0
-    num_antennas: int = 64
-    num_ius: int = 5
-    num_riss: int = 3
-    ris_elements_y: int = 100
-    ris_elements_z: int = 100
-    area_m2: float = 100.0
-    p_max_dbm: float = 23.0
-    noise_density_dbm_hz: float = -174.0
-    noise_figure_db: float = 10.0
-    bandwidth_mhz: float = 400.0
-    ap_height_m: float = 10.0
-    ris_height_m: float = 5.0
-    iu_height_m: float = 1.5
-    min_ap_iu_separation_m: float = 1.0
-    pathloss_exponent: float = 2.0
-    power_rounds: int = 2
-    exhaustive_cap: int = 100_000
-    schemes: tuple = SCHEME_NAMES
-    realizations: int = 200
-    master_seed: int = 42
-    power_sweep_dbm: tuple = (10.0, 13.0, 16.0, 19.0, 23.0)
-    element_sweep: tuple = (100, 625, 2500)
+    carrier_freq_ghz: float = _key(15.0, "> 0 and finite", "ghz")
+    num_antennas: int = _key(64, ">= 1 and finite")
+    num_ius: int = _key(5, ">= 1 and finite")
+    num_riss: int = _key(3, ">= 0 and finite")
+    ris_elements_y: int = _key(100, ">= 1 and finite")
+    ris_elements_z: int = _key(100, ">= 1 and finite")
+    area_m2: float = _key(100.0, "> 0 and finite", "m2")
+    p_max_dbm: float = _key(23.0, _POWER, "dbm")
+    noise_density_dbm_hz: float = _key(-174.0, "finite", "dbm/hz")
+    noise_figure_db: float = _key(10.0, "finite", "db")
+    bandwidth_mhz: float = _key(400.0, "> 0 and finite", "mhz")
+    ap_height_m: float = _key(10.0, ">= 0 and finite", "m")
+    ris_height_m: float = _key(5.0, ">= 0 and finite", "m")
+    iu_height_m: float = _key(1.5, ">= 0 and finite", "m")
+    min_ap_iu_separation_m: float = _key(1.0, ">= 0 and finite", "m")
+    pathloss_exponent: float = _key(2.0, "> 0 and finite")
+    power_rounds: int = _key(2, ">= 1 and finite")
+    exhaustive_cap: int = _key(100_000, ">= 1 and finite")
+    schemes: tuple = _key(SCHEME_NAMES, item=str)
+    realizations: int = _key(200, ">= 1 and finite")
+    master_seed: int = _key(42, "in [0, 2^64)")
+    power_sweep_dbm: tuple = _key((10.0, 13.0, 16.0, 19.0, 23.0), _POWER,
+                                  item=float)
+    element_sweep: tuple = _key((100, 625, 2500), item=int)
     # not a field and not settable: perfbench/verify.py reads it to decide
     # whether an SCA trace must be non-decreasing, which it always must
     rho_variant = "derivative"
 
     def __post_init__(self):
-        for key, (_, bound) in _RANGES.items():
-            value = getattr(self, key)
-            _check_type(key, value, _TYPES[key])
-            if not _BOUNDS[bound](value):
-                raise ConfigError(
-                    f"{key}: value {value} out of range, must be {bound}")
-        for key in ("schemes", "power_sweep_dbm", "element_sweep"):
-            values = getattr(self, key)
-            if not isinstance(values, (list, tuple)):
-                raise ConfigError(f"{key}: {values!r} is not a list")
-            values = tuple(values)
-            object.__setattr__(self, key, values)
-            if not values:
+        for f in fields(self):
+            key, value = f.name, getattr(self, f.name)
+            bound, kind = f.metadata["bound"], f.metadata["item"]
+            if kind is None:
+                _check(key, value, f.type, bound)
+                continue
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{key}: {value!r} is not a list")
+            value = tuple(value)
+            object.__setattr__(self, key, value)
+            if not value:
                 raise ConfigError(f"{key}: list needs at least one value")
+            if kind is str:
+                continue  # scheme names, checked below
+            for v in value:
+                _check(key, v, kind)
+            if any(b <= a for a, b in zip(value, value[1:])):
+                raise ConfigError(f"{key}: values must be strictly increasing")
+            for v in value:
+                _check(key, v, kind, bound)
         for s in self.schemes:
             if s not in SCHEME_NAMES:
                 raise ConfigError(
                     f"schemes: {s!r} not one of {', '.join(SCHEME_NAMES)}")
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigError("schemes: duplicate entries")
-        for key, kind in _ITEMS.items():
-            values = getattr(self, key)
-            for v in values:
-                _check_type(key, v, kind)
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise ConfigError(f"{key}: values must be strictly increasing")
-        for v in self.power_sweep_dbm:
-            if not _BOUNDS[_POWER](v):
-                raise ConfigError(f"power_sweep_dbm: value {v} out of range, "
-                                  f"must be {_POWER}")
         for v in self.element_sweep:
             if v < 1 or math.isqrt(v) ** 2 != v:
                 raise ConfigError(f"element_sweep: {v} is not a perfect "
@@ -180,14 +162,7 @@ class ScenarioConfig:
         return replace(self, **kw)
 
 
-_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
-
-
-def _strip_unit(raw, unit):
-    parts = raw.split()
-    if len(parts) == 2 and unit and parts[1].lower() == unit:
-        return parts[0]
-    return raw
+_FIELDS = {f.name: f for f in fields(ScenarioConfig)}
 
 
 def _parse_number(raw, key, cast):
@@ -197,24 +172,21 @@ def _parse_number(raw, key, cast):
         raise ConfigError(f"{key}: cannot parse {raw!r} as {cast.__name__}") from None
 
 
-def _split(raw):
-    return [v.strip() for v in raw.split(",") if v.strip()]
-
-
 def _apply_key(out, key, raw):
     """Convert one key's text to its value in `out`; type and range checks
     are left to ScenarioConfig."""
-    raw = raw.strip()
-    if key in _RANGES:
-        out[key] = _parse_number(_strip_unit(raw, _RANGES[key][0]), key,
-                                 _TYPES[key])
-    elif key == "schemes":
-        out[key] = tuple(_split(raw))
-    elif key in _ITEMS:
-        out[key] = tuple(_parse_number(v, key, _ITEMS[key])
-                         for v in _split(raw))
-    else:
+    f = _FIELDS.get(key)
+    if f is None:
         raise ConfigError(f"unknown config key: {key}")
+    kind = f.metadata["item"]
+    if kind is None:
+        parts = raw.split()
+        if len(parts) == 2 and parts[1].lower() == f.metadata["unit"]:
+            raw = parts[0]
+        out[key] = _parse_number(raw.strip(), key, f.type)
+    else:
+        out[key] = tuple(_parse_number(v.strip(), key, kind)
+                         for v in raw.split(",") if v.strip())
 
 
 def parse_config(text, overrides=()):

@@ -229,17 +229,17 @@ def sweep(cfg, variable):
     if requested > cores:
         log.warning("FR3_THREADS asks for %d workers on %d cores",
                     requested, cores)
+    tasks = [(pcfg, index, schemes) for pcfg in point_cfgs for index in range(n)]
     # every worker is forked at once and runs one fixed strided share of
     # all the points' tasks, so never more workers than there are cores or
-    # realizations per point
-    workers = min(requested, n, cores)
+    # tasks
+    workers = min(requested, len(tasks), cores)
     # macOS has os.fork, but a forked child may crash in system libraries
     # that had started threads, which is why spawn is its default there
     if workers > 1 and (not hasattr(os, "fork") or sys.platform == "darwin"):
         log.warning("FR3_THREADS asks for %d workers, but this platform "
                     "cannot fork safely; running serially", requested)
         workers = 1
-    tasks = [(pcfg, index, schemes) for pcfg in point_cfgs for index in range(n)]
     if workers > 1:
         results = _run_forked(tasks, workers)
     else:

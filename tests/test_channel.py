@@ -799,6 +799,20 @@ def test_links_out_of_range_raise_where_they_are_read(bad):
         Association(links=[bad, 0], num_riss=2)
 
 
+@pytest.mark.parametrize("links", [[[1.7, 0.0]], [[1, 0.5]], [[True, False]]],
+                         ids=["float", "half", "bool"])
+def test_links_that_are_not_integers_raise_where_they_are_read(links):
+    # a cast to intp would score each of these as RIS 1 for IU 0
+    ch = rand_channelset(np.random.default_rng(60), k=2, l=2, m=3, n=4)
+    message = "links must be integers, got (float64|bool)"
+    with pytest.raises(NumericError, match=message):
+        gather_gains(ch, links)
+    with pytest.raises(NumericError, match=message):
+        link_rates(ch, links, np.ones(2), 1e-11)
+    with pytest.raises(NumericError, match=message):
+        Association(links=links[0], num_riss=2)
+
+
 def test_links_of_the_wrong_width_raise_where_they_are_read():
     # rows of 3 entries on a K = 5 table would read the first three IUs'
     # gains as a three-IU network; a 1-D row or a row past K would raise a

@@ -111,6 +111,17 @@ def test_sweep_power_values_override(tiny_cfg, tmp_path):
     assert [r.split(",")[1] for r in rows] == ["0", "10"]
 
 
+def test_sweep_power_takes_negative_points_after_an_equals_sign(tiny_cfg,
+                                                                tmp_path):
+    # after a space, argparse takes "-10,0" for a flag and exits 2
+    out = tmp_path / "p.csv"
+    code = cli.main(["sweep-power", "--config", tiny_cfg, "--out", str(out),
+                     "--values=-10,0", "--schemes", "random"])
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == ["-10", "0"]
+
+
 def test_sweep_elements_values_override(tiny_cfg, tmp_path):
     out = tmp_path / "e.csv"
     code = cli.main(["sweep-elements", "--config", tiny_cfg, "--out", str(out),

@@ -217,17 +217,22 @@ def test_sweep_opens_one_pool_bounded_by_realizations(monkeypatch, caplog):
                power_sweep_dbm=(10.0, 17.0, 23.0))
     with caplog.at_level("WARNING", logger="fr3ris"):
         pooled = sweep(cfg, "power")
-    assert built == [2]
+    # 3 points x 2 realizations are 6 tasks: the 4 cores bound it, not the
+    # 2 realizations per point
+    assert built == [4]
     assert "500 workers on 4 cores" in caplog.text
     monkeypatch.delenv("FR3_THREADS")
     serial = sweep(cfg, "power")
     assert format_csv(pooled) == format_csv(serial)
-    # with more realizations than cores, the cores bound it
+    # with fewer tasks than cores, the tasks bound it: 2 points x 1
+    # realization fork 2 workers
     monkeypatch.setenv("FR3_THREADS", "500")
-    sweep(_cfg(realizations=200, schemes=("random",), ris_elements_y=1,
-               ris_elements_z=1, power_rounds=1, power_sweep_dbm=(10.0,)),
-          "power")
-    assert built == [2, 4]
+    one = _cfg(realizations=1, schemes=("random",), ris_elements_y=1,
+               ris_elements_z=1, power_rounds=1, power_sweep_dbm=(10.0, 13.0))
+    pooled = sweep(one, "power")
+    assert built == [4, 2]
+    monkeypatch.delenv("FR3_THREADS")
+    assert format_csv(pooled) == format_csv(sweep(one, "power"))
 
 
 def test_uneven_forked_shares_reduce_like_a_serial_sweep(monkeypatch):

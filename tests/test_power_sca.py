@@ -244,3 +244,32 @@ def test_sca_rejects_bad_budget_as_a_budget(p_max, init):
     gm = GainMatrix(g=np.eye(2), noise_power=1.0)
     with pytest.raises(NumericError, match="p_max must be positive"):
         sca_power(gm, p_max, init=init)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4's inner stop rule: INNER_TOL is an absolute bound in "
+    "watts on a unit-step gradient mapping that shrinks like 1/p_max, so "
+    "at large budgets the first inner solve stops at its start"))
+def test_sca_at_a_large_budget_leaves_the_uniform_start():
+    # the seed association's gain matrix of realization 0, built as
+    # experiment._run_schemes builds it, on a small scenario at 100 dBm:
+    # SCA should climb towards a vertex as it does below 90 dBm, but it
+    # stops at the uniform start after one outer step, reporting converged
+    from fr3ris.association import greedy_association, utility_matrix
+    from fr3ris.channel import gains_for_association, synthesize_channels
+    from fr3ris.config import ScenarioConfig
+    from fr3ris.topology import sample_topology
+
+    cfg = ScenarioConfig(ris_elements_y=2, ris_elements_z=2, num_antennas=4,
+                         p_max_dbm=100.0)
+    rng = np.random.default_rng(cfg.master_seed ^ 0)
+    channels = synthesize_channels(sample_topology(cfg, rng), cfg)
+    noise = cfg.noise_power_w
+    uniform = np.full(cfg.num_ius, cfg.p_max_w / cfg.num_ius)
+    seed_assoc = greedy_association(utility_matrix(channels, uniform, noise),
+                                    rng)
+    gm = gains_for_association(channels, seed_assoc, noise)
+    p, trace = sca_power(gm, cfg.p_max_w, init=uniform)
+    best_vertex = max(sum_rate(gm, cfg.p_max_w * e).sum_rate
+                      for e in np.eye(cfg.num_ius))
+    assert trace.objective_per_iteration[-1] >= 0.5 * best_vertex
