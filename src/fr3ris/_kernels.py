@@ -118,13 +118,9 @@ def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter):
     f_cur = surrogate_value(g, sigma2, rho_col, p)
     d, grad, gm, mu = _stationarity(g, sigma2, rho_col, p, p_max)
     pg_step = 1.0
-    n_iter = 0
-    converged = False
-    for _ in range(max_iter):
-        n_iter += 1
+    for n_iter in range(1, max_iter + 1):
         if gm <= tol:
-            converged = True
-            break
+            return p, n_iter, True
         step = _newton_step(g, d, grad, mu, p, p_max)
         alpha = 1.0
         while alpha >= _MIN_ARC:
@@ -158,4 +154,4 @@ def solve_inner(g, sigma2, rho_col, p0, p_max, tol, max_iter):
                     return p, n_iter, False
         p, f_cur = q, f_new
         d, grad, gm, mu = _stationarity(g, sigma2, rho_col, p, p_max)
-    return p, n_iter, converged
+    return p, max_iter, False

@@ -64,24 +64,19 @@ def match_deferred_acceptance(u):
     """
     u = _check_utilities(u)
     k_count, l_count = u.shape
-    prefs = [sorted((l for l in range(l_count) if u[k, l] > 0.0),
-                    key=lambda l: (-u[k, l], l))
+    prefs = [iter(sorted((l for l in range(l_count) if u[k, l] > 0.0),
+                         key=lambda l: (-u[k, l], l)))
              for k in range(k_count)]
-    next_choice = [0] * k_count
     holder = [-1] * l_count
     free = list(range(k_count))
     while free:
         k = free.pop(0)
-        while next_choice[k] < len(prefs[k]):
-            l = prefs[k][next_choice[k]]
-            next_choice[k] += 1
+        for l in prefs[k]:
             cur = holder[l]
-            if cur < 0:
+            if cur < 0 or (u[k, l], -k) > (u[cur, l], -cur):
                 holder[l] = k
-                break
-            if (u[k, l], -k) > (u[cur, l], -cur):
-                holder[l] = k
-                free.append(cur)
+                if cur >= 0:
+                    free.append(cur)
                 break
         # list exhausted: IU stays on its direct link
     # surfaces nobody holds (holder -1) write to a spare last entry

@@ -94,6 +94,8 @@ def _probe_output(path):
     # anything at `path`: emit_csv writes beside it and renames
     if os.path.isdir(path):
         raise OSError(f"output path {path} is a directory")
+    if not os.path.basename(path):
+        raise OSError(f"output path {path!r} names no file")
     try:
         with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
             pass

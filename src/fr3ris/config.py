@@ -130,6 +130,11 @@ class ScenarioConfig:
             raise ConfigError(
                 "min_ap_iu_separation_m: must be below the area diagonal "
                 f"({diagonal:.3f} m), got {self.min_ap_iu_separation_m}")
+        if not 0.0 < self.noise_power_w < math.inf:
+            raise ConfigError(
+                "noise_density_dbm_hz, noise_figure_db, bandwidth_mhz: noise "
+                f"power {self.noise_power_w} W out of range, must be > 0 and "
+                "finite")
 
     @property
     def carrier_freq_hz(self):
@@ -193,7 +198,6 @@ def parse_config(text, overrides=()):
     """Parse flat key=value text into a ScenarioConfig, then apply the
     (key, text) pairs of `overrides` on top. Empty text gives defaults."""
     out = {}
-    seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -202,9 +206,8 @@ def parse_config(text, overrides=()):
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key in seen:
+        if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
         _apply_key(out, key, raw)
     for key, raw in overrides:
         _apply_key(out, key, raw)

@@ -127,9 +127,6 @@ class _RemoteTraceback(Exception):
     """A worker's formatted traceback, chained as the cause of the
     exception the parent re-raises."""
 
-    def __str__(self):
-        return self.args[0]
-
 
 def _send_share(tasks, fd):
     # runs in a forked worker: pickle the share's results, or the exception

@@ -24,7 +24,6 @@ OUTER_MAX = 50
 # INNER_TOL, or after INNER_MAX iterations
 INNER_TOL = 1e-8
 INNER_MAX = 500
-_LN2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ def surrogate_gradient(gm, p_t):
     _, interf = _interference(gm, _check_power(gm, p_t))
     if (interf <= 0.0).any():
         raise NumericError("interference-plus-noise must be positive")
-    rho = gm.g / (interf * _LN2)[:, None]
+    rho = gm.g / (interf * _kernels._LN2)[:, None]
     np.fill_diagonal(rho, 0.0)
     if not np.isfinite(rho).all():
         raise NumericError("non-finite surrogate gradient")
@@ -95,9 +94,8 @@ def sca_power(gm, p_max, init=None):
             f"initial allocation spends {p.sum()} of budget {p_max}")
     objective = [sum_rate(gm, p).sum_rate]
     converged = False
-    iterations = inner_iterations = inner_unconverged = 0
+    inner_iterations = inner_unconverged = 0
     for _ in range(OUTER_MAX):
-        iterations += 1
         p, n_inner, inner_ok = solve_inner(gm, p, p_max)
         inner_iterations += n_inner
         inner_unconverged += not inner_ok
@@ -106,7 +104,7 @@ def sca_power(gm, p_max, init=None):
             converged = True
             break
     return p, ScaTrace(objective_per_iteration=objective,
-                       iterations=iterations, converged=converged,
+                       iterations=len(objective) - 1, converged=converged,
                        inner_iterations=inner_iterations,
                        inner_unconverged=inner_unconverged)
 

@@ -326,6 +326,19 @@ def test_deferred_acceptance_invariant_to_positive_rescaling():
         assert np.array_equal(a.gamma, b.gamma)
 
 
+@pytest.mark.parametrize("u, error, match", [
+    (np.ones(3), DimensionError, r"2-d, got \(3,\)"),
+    (np.ones((1, 2, 2)), DimensionError, r"2-d, got \(1, 2, 2\)"),
+    (np.array([[1.0, np.nan]]), NumericError, "finite"),
+    (np.array([[np.inf, 1.0]]), NumericError, "finite"),
+], ids=["1d", "3d", "nan", "inf"])
+def test_utilities_that_are_not_a_finite_matrix_are_refused(u, error, match):
+    with pytest.raises(error, match=match):
+        match_deferred_acceptance(u)
+    with pytest.raises(error, match=match):
+        greedy_association(u, np.random.default_rng(0))
+
+
 def test_greedy_matches_da_when_unconflicted():
     u = np.array([[3.0, 1.0], [2.0, 4.0]])
     g = greedy_association(u, _PickLast())

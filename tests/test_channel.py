@@ -130,6 +130,28 @@ def test_channelset_shape_validation():
     rand_channelset(rng, k=2, l=1, m=3, n=4)  # well-formed passes
 
 
+_BAD_SHAPES = [
+    (ChannelSet, dict(direct=np.ones(4), ap_ris=np.ones((1, 3, 4)),
+                      ris_iu=np.ones((1, 1, 3)), carrier_freq_hz=1e9),
+     r"direct must be \(K, N\), got \(4,\)"),
+    (ChannelSet, dict(direct=np.ones((2, 4)), ap_ris=np.ones((1, 3, 4)),
+                      ris_iu=np.ones((1, 2, 5)), carrier_freq_hz=1e9),
+     r"ris_iu must be \(1, 2, 3\), got \(1, 2, 5\)"),
+    (GainMatrix, dict(g=np.ones((2, 3)), noise_power=1.0),
+     r"g must be square, got \(2, 3\)"),
+    (GainMatrix, dict(g=np.ones(2), noise_power=1.0),
+     r"g must be square, got \(2,\)"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, match", _BAD_SHAPES,
+                         ids=["direct-1d", "ris_iu", "g-2x3", "g-1d"])
+def test_link_and_gain_arrays_of_the_wrong_shape_are_named(cls, kwargs,
+                                                           match):
+    with pytest.raises(DimensionError, match=match):
+        cls(**kwargs)
+
+
 # -- co-phased links ---------------------------------------------------------
 
 def test_cophase_zero_direct_single_element_real_positive():

@@ -222,6 +222,25 @@ def test_infinite_value_exits_2_naming_the_key(key, tmp_path, caplog):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["noise_density_dbm_hz = -3500",
+                                  "noise_figure_db = 3500"])
+def test_a_noise_power_of_zero_or_inf_exits_2_on_every_verb(line, tmp_path,
+                                                             caplog):
+    path = tmp_path / "noise.cfg"
+    path.write_text(f"{TINY}{line}\n")
+    out = tmp_path / "x.csv"
+    for verb in ("validate-config", "run", "sweep-power", "sweep-elements"):
+        argv = [verb, "--config", str(path)]
+        if verb != "validate-config":
+            argv += ["--out", str(out)]
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="fr3ris"):
+            assert cli.main(argv) == 2
+        assert ("noise_density_dbm_hz, noise_figure_db, bandwidth_mhz: "
+                "noise power") in caplog.text
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_4(tmp_path):
     code = cli.main(["validate-config", "--config",
                      str(tmp_path / "nope.cfg")])
@@ -229,14 +248,24 @@ def test_missing_config_file_exits_4(tmp_path):
 
 
 def test_unwritable_output_exits_4_before_sweeping(tiny_cfg, tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch, caplog):
     def boom(*_a, **_k):
         raise AssertionError("sweep ran despite unwritable output")
 
     monkeypatch.setattr(cli, "sweep", boom)
-    code = cli.main(["sweep-power", "--config", tiny_cfg,
-                     "--out", str(tmp_path)])
-    assert code == 4
+    (tmp_path / "file").write_text("")
+    for out, message in ((str(tmp_path), "is a directory"),
+                         ("", "names no file"),
+                         (os.path.join(tmp_path, "missing", ""),
+                          "names no file"),
+                         (os.path.join(tmp_path, "file", "x.csv"),
+                          "is not writable")):
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="fr3ris"):
+            code = cli.main(["sweep-power", "--config", tiny_cfg,
+                             "--out", out])
+        assert code == 4
+        assert message in caplog.text
 
 
 def test_exhaustive_cap_exits_5(tmp_path):

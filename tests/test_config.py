@@ -138,6 +138,10 @@ def test_overrides_apply_after_the_file_without_tripping_duplicates():
         parse_config("", [("realizations", "0")])
 
 
+_NO_NOISE = ("noise_density_dbm_hz, noise_figure_db, bandwidth_mhz: "
+             "noise power ")
+
+
 def test_direct_construction_runs_the_same_checks():
     cfg = ScenarioConfig(schemes=["greedy"], element_sweep=[4, 16])
     assert cfg.schemes == ("greedy",)
@@ -149,7 +153,14 @@ def test_direct_construction_runs_the_same_checks():
                        (dict(p_max_dbm=-math.inf), "p_max_dbm"),
                        (dict(p_max_dbm=-5000.0), "p_max_dbm"),
                        (dict(area_m2=4.0, min_ap_iu_separation_m=3.0),
-                        "min_ap_iu_separation_m")):
+                        "min_ap_iu_separation_m"),
+                       # each noise key within its own bound, but not the
+                       # noise power in watts they give together
+                       (dict(noise_density_dbm_hz=-3500.0),
+                        _NO_NOISE + "0.0 W"),
+                       (dict(noise_figure_db=3500.0), _NO_NOISE + "inf W"),
+                       (dict(bandwidth_mhz=1e-320), _NO_NOISE + "0.0 W"),
+                       (dict(bandwidth_mhz=1e303), _NO_NOISE + "inf W")):
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig(**bad)
     with pytest.raises(TypeError, match="rho_variant"):
@@ -252,8 +263,11 @@ def test_list_keys_refuse_a_string_or_a_scalar_naming_the_key(key, value):
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
+# a bandwidth above about 1.8e302 MHz (below about 1e-310 MHz) gives an
+# infinite (zero) noise power at the default density and figure, which the
+# config refuses
 @given(p_max_dbm=st.floats(-3000.0, 3000.0), carrier_freq_ghz=_POSITIVE,
-       bandwidth_mhz=_POSITIVE)
+       bandwidth_mhz=st.floats(1e-300, 1e300))
 def test_format_then_parse_gives_back_every_value_exactly(
         p_max_dbm, carrier_freq_ghz, bandwidth_mhz):
     cfg = ScenarioConfig(p_max_dbm=p_max_dbm, carrier_freq_ghz=carrier_freq_ghz,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fr3ris.config import ScenarioConfig, parse_config
-from fr3ris.errors import ConfigError
+from fr3ris.errors import ConfigError, NumericError
 from fr3ris.topology import NetworkTopology, sample_topology
 
 from oracles import distance
@@ -79,6 +79,26 @@ def test_colocated_nodes_rejected():
         NetworkTopology(ap=[0, 0, 10], riss=[[0, 0, 10]], ius=[[1, 1, 1.5]])
     with pytest.raises(ConfigError, match="below ground"):
         NetworkTopology(ap=[0, 0, -1], riss=np.empty((0, 3)), ius=[[1, 1, 1.5]])
+
+
+@pytest.mark.parametrize("ap, ius, error, match", [
+    ([0, 0], [[1, 1, 1.5]], ConfigError, r"ap must have 3 coordinates"),
+    ([0, 0, np.nan], [[1, 1, 1.5]], NumericError, "ap has non-finite"),
+    ([0, 0, 10], [[1, np.inf, 1.5]], NumericError, r"iu\[0\] has non-finite"),
+    ([0, 0, 10], np.empty((0, 3)), ConfigError, "at least one IU"),
+], ids=["ap-2-coordinates", "ap-nan", "iu-inf", "no-iu"])
+def test_malformed_nodes_are_refused_naming_the_node(ap, ius, error, match):
+    with pytest.raises(error, match=match):
+        NetworkTopology(ap=ap, riss=np.empty((0, 3)), ius=ius)
+
+
+def test_an_iu_that_fits_nowhere_outside_the_exclusion_disc_is_refused():
+    # the separation is just under the 14.142 m diagonal of the 10 m square,
+    # which the config accepts, but every draw lands inside the disc
+    cfg = ScenarioConfig(num_ius=1, area_m2=100.0,
+                         min_ap_iu_separation_m=14.1421356)
+    with pytest.raises(ConfigError, match="could not place an IU"):
+        sample_topology(cfg, np.random.default_rng(0))
 
 
 def test_topology_arrays_are_frozen():
