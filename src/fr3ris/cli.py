@@ -17,7 +17,7 @@ from dataclasses import fields
 from . import __version__
 from .config import (SCHEME_NAMES, ScenarioConfig, format_config,
                      load_config, parse_config)
-from .errors import ConfigError, DimensionError, NumericError, SizeError
+from .errors import ConfigError, SizeError
 from .experiment import emit_csv, sweep
 
 log = logging.getLogger("fr3ris")
@@ -135,7 +135,7 @@ def main(argv=None):
     except SizeError as exc:
         log.error("size: %s", exc)
         return EXIT_SIZE
-    except (NumericError, DimensionError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         log.error("numeric: %s", exc)
         return EXIT_NUMERIC
     except OSError as exc:

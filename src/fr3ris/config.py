@@ -135,6 +135,10 @@ class ScenarioConfig:
                 "noise_density_dbm_hz, noise_figure_db, bandwidth_mhz: noise "
                 f"power {self.noise_power_w} W out of range, must be > 0 and "
                 "finite")
+        if not math.isfinite(self.carrier_freq_hz):
+            raise ConfigError(
+                f"carrier_freq_ghz: {self.carrier_freq_ghz} GHz is "
+                f"{self.carrier_freq_hz} Hz, must be finite in hertz")
 
     @property
     def carrier_freq_hz(self):

@@ -93,15 +93,14 @@ def sca_power(gm, p_max, init=None):
         raise NumericError(
             f"initial allocation spends {p.sum()} of budget {p_max}")
     objective = [sum_rate(gm, p).sum_rate]
-    converged = False
     inner_iterations = inner_unconverged = 0
     for _ in range(OUTER_MAX):
         p, n_inner, inner_ok = solve_inner(gm, p, p_max)
         inner_iterations += n_inner
         inner_unconverged += not inner_ok
         objective.append(sum_rate(gm, p).sum_rate)
-        if abs(objective[-1] - objective[-2]) < OUTER_TOL:
-            converged = True
+        converged = abs(objective[-1] - objective[-2]) < OUTER_TOL
+        if converged:
             break
     return p, ScaTrace(objective_per_iteration=objective,
                        iterations=len(objective) - 1, converged=converged,

@@ -26,6 +26,16 @@ def as_position(p, name="position"):
     return a
 
 
+def _as_rows(nodes, name):
+    # (count, 3) positions; an empty sequence means no nodes
+    a = np.asarray(nodes, dtype=np.float64)
+    if a.size and (a.ndim != 2 or a.shape[1] != 3):
+        raise ConfigError(
+            f"{name} positions must be rows of 3 coordinates, "
+            f"got shape {a.shape}")
+    return a.reshape(-1, 3)
+
+
 @dataclass(frozen=True)
 class NetworkTopology:
     ap: np.ndarray    # (3,)
@@ -34,8 +44,8 @@ class NetworkTopology:
 
     def __post_init__(self):
         ap = as_position(self.ap, "ap")
-        riss = np.asarray(self.riss, dtype=np.float64).reshape(-1, 3)
-        ius = np.asarray(self.ius, dtype=np.float64).reshape(-1, 3)
+        riss = _as_rows(self.riss, "ris")
+        ius = _as_rows(self.ius, "iu")
         if ius.shape[0] < 1:
             raise ConfigError("topology needs at least one IU")
         for i, r in enumerate(riss):

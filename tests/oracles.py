@@ -3,12 +3,14 @@
 Everything here is written from the defining formulas with plain loops or
 dense grids, deliberately sharing no code with the package internals. The
 exceptions are former implementations kept as references:
-`project_capped_simplex_loop`, `armijo_inner_oracle`, `inline_link_gains`,
-and `exhaustive_loop_oracle` and
+`project_capped_simplex_loop`, which the kernel's projection is compared
+with by ==; `armijo_inner_oracle`, the first-order inner solver, which
+projects through it; `inline_link_gains`; and `exhaustive_loop_oracle` and
 `utility_gather_oracle`, which score through the package's own gain gather
-and rates so that their results can be compared with `==`. The helpers near the end are evaluators that only tests call;
-they check their inputs with the package's own validators. Last come the
-seeded random inputs that several test modules share.
+and rates so that their results can be compared with `==`. The helpers
+near the end are evaluators that only tests call; they check their inputs
+with the package's own validators. Last come the seeded random inputs that
+several test modules share.
 """
 
 import cmath
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from fr3ris import _kernels
-from fr3ris.association import Association, _check_utilities
+from fr3ris.association import Association
 from fr3ris.channel import (_ENTRIES, ChannelSet, GainMatrix, _beam_gains,
                             _unit)
 from fr3ris.power_sca import surrogate_gradient
@@ -193,23 +195,18 @@ def inline_link_gains(channels):
     return gains
 
 
-def blocking_pair_oracle(u, gamma):
+def blocking_pair_oracle(u, links):
     """Stability of a one-to-one association under utilities u, checked
-    from the definition. IU k accepts RIS l only if u[k, l] > 0 and prefers
-    higher utility, ties to the lower RIS index; RIS l prefers the IU with
-    the higher u[., l], ties to the lower IU index, and any IU to none.
-    Returns (k, -1) for an IU held at a RIS it does not accept, else the
-    first (k, l) that would both rather be together, else None."""
+    from the definition; links[k] is 0 when IU k has the direct link and
+    l + 1 when RIS l serves it. IU k accepts RIS l only if u[k, l] > 0 and
+    prefers higher utility, ties to the lower RIS index; RIS l prefers the
+    IU with the higher u[., l], ties to the lower IU index, and any IU to
+    none. Returns (k, -1) for an IU held at a RIS it does not accept, else
+    the first (k, l) that would both rather be together, else None."""
     k_count = len(u)
     l_count = len(u[0]) if k_count else 0
-    partner, holder = {}, {}
-    for k in range(k_count):
-        for l in range(l_count):
-            if gamma[k][l]:
-                if k in partner or l in holder:
-                    raise ValueError(f"association is not one-to-one at ({k}, {l})")
-                partner[k] = l
-                holder[l] = k
+    partner = {k: int(v) - 1 for k, v in enumerate(links) if v}
+    holder = {l: k for k, l in partner.items()}
     for k, l in partner.items():
         if u[k][l] <= 0:
             return (k, -1)
@@ -235,18 +232,6 @@ def blocking_pair_oracle(u, gamma):
     return None
 
 
-def _project_sorted(y, p_max):
-    # projection onto {q >= 0, sum(q) <= p_max}: clamp, else the simplex
-    # threshold from the largest prefix whose mean excess stays positive
-    q = np.maximum(y, 0.0)
-    if q.sum() <= p_max:
-        return q
-    u = np.sort(y)[::-1]
-    excess = (np.cumsum(u) - p_max) / np.arange(1, len(u) + 1)
-    tau = excess[np.flatnonzero(u > excess)[-1]]
-    return np.maximum(y - tau, 0.0)
-
-
 def armijo_inner_oracle(g, sigma2, rho_col, p0, p_max, tol, max_iter,
                         armijo_c, armijo_beta):
     """Maximize sum_k log2(g[k] @ p + sigma2[k]) - rho_col @ p over
@@ -262,18 +247,20 @@ def armijo_inner_oracle(g, sigma2, rho_col, p0, p_max, tol, max_iter,
         return f_new >= f_cur + armijo_c * np.dot(grad, q - p)
 
     gt = g.T.copy()
-    p = _project_sorted(p0, p_max)
+    p = project_capped_simplex_loop(p0, p_max)
     f_cur = value(p)
     step = 1.0
     for n_iter in range(1, max_iter + 1):
         grad = gt @ (1.0 / ((g @ p + sigma2) * math.log(2.0))) - rho_col
-        if np.linalg.norm(p - _project_sorted(p + grad, p_max)) <= tol:
+        mapped = project_capped_simplex_loop(p + grad, p_max)
+        if np.linalg.norm(p - mapped) <= tol:
             return p, n_iter, True
-        q = _project_sorted(p + step * grad, p_max)
+        q = project_capped_simplex_loop(p + step * grad, p_max)
         f_new = value(q)
         if accepted(f_new, f_cur, grad, q, p):
             while step < 1e12:
-                q2 = _project_sorted(p + step / armijo_beta * grad, p_max)
+                q2 = project_capped_simplex_loop(
+                    p + step / armijo_beta * grad, p_max)
                 f2 = value(q2)
                 if not (f2 > f_new and accepted(f2, f_cur, grad, q2, p)):
                     break
@@ -283,7 +270,7 @@ def armijo_inner_oracle(g, sigma2, rho_col, p0, p_max, tol, max_iter,
                 step *= armijo_beta
                 if step < 1e-20:
                     return p, n_iter, False
-                q = _project_sorted(p + step * grad, p_max)
+                q = project_capped_simplex_loop(p + step * grad, p_max)
                 f_new = value(q)
                 if accepted(f_new, f_cur, grad, q, p):
                     break
@@ -379,28 +366,6 @@ def empty_association(num_ius, num_riss):
 def served_ris(assoc, k):
     """Index of the RIS serving IU k, or -1."""
     return int(assoc.links[k]) - 1
-
-
-def find_blocking_pair(u, assoc):
-    """First (k, l) that would defect together under u, or None if stable."""
-    u = _check_utilities(u)
-    k_count, l_count = u.shape
-    matched_u = np.zeros(k_count)
-    holder = [-1] * l_count
-    for k in np.flatnonzero(assoc.links):
-        l = assoc.links[k] - 1
-        matched_u[k] = u[k, l]
-        holder[l] = k
-    for k in range(k_count):
-        for l in range(l_count):
-            if u[k, l] <= 0.0 or assoc.links[k] == l + 1:
-                continue
-            if u[k, l] <= matched_u[k]:
-                continue
-            cur = holder[l]
-            if cur < 0 or u[k, l] > u[cur, l]:
-                return (k, l)
-    return None
 
 
 # -- random inputs ----------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from oracles import (find_blocking_pair, grid_max, interference,
+from oracles import (blocking_pair_oracle, grid_max, interference,
                      random_feasible_points, rate_oracle, smooth_instance,
                      surrogate_batch, surrogate_objective)
 from fr3ris.association import match_deferred_acceptance
@@ -160,7 +160,7 @@ def test_criterion_05_matching_is_stable(capsys):
         assert set(np.unique(gamma)) <= {0.0, 1.0}
         assert gamma.sum(axis=1).max(initial=0) <= 1
         assert gamma.sum(axis=0).max(initial=0) <= 1
-        assert find_blocking_pair(u, assoc) is None
+        assert blocking_pair_oracle(u, assoc.links) is None
         checked += 1
     elapsed = time.perf_counter() - t0
     ok = checked == 1000

@@ -19,9 +19,9 @@ from fr3ris.topology import NetworkTopology, sample_topology
 from fr3ris.channel import synthesize_channels
 
 from oracles import (blocking_pair_oracle, empty_association,
-                     exhaustive_loop_oracle, find_blocking_pair,
-                     gain_matrix_oracle, rand_channelset, rate_oracle,
-                     served_ris, utility_gather_oracle)
+                     exhaustive_loop_oracle, gain_matrix_oracle,
+                     rand_channelset, rate_oracle, served_ris,
+                     utility_gather_oracle)
 
 
 class _PickLast:
@@ -271,11 +271,10 @@ def test_deferred_acceptance_hand_traces():
 def test_deferred_acceptance_stability_exhaustively_verified():
     u = np.array([[5.0, 1.0], [4.0, 2.0]])
     a = match_deferred_acceptance(u)
-    assert find_blocking_pair(u, a) is None
+    assert blocking_pair_oracle(u, a.links) is None
     # and the blocking-pair scan does flag an unstable association
     bad = Association(links=[2, 1], num_riss=2)
-    assert find_blocking_pair(u, bad) == (0, 0)
-    assert blocking_pair_oracle(u, bad.gamma) == (0, 0)
+    assert blocking_pair_oracle(u, bad.links) == (0, 0)
 
 
 def test_deferred_acceptance_skips_zero_utilities():
@@ -301,7 +300,7 @@ def test_deferred_acceptance_stable_on_random_instances():
         u = rng.uniform(0, 5, size=(k, l))
         u[rng.random(size=(k, l)) < 0.2] = 0.0
         a = match_deferred_acceptance(u)
-        assert find_blocking_pair(u, a) is None
+        assert blocking_pair_oracle(u, a.links) is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -313,8 +312,7 @@ def test_deferred_acceptance_stable_with_ties(data, k, l):
                               min_size=k, max_size=k))
     u = np.array(rows, dtype=np.float64).reshape(k, l)
     a = match_deferred_acceptance(u)
-    assert blocking_pair_oracle(u, a.gamma) is None
-    assert find_blocking_pair(u, a) is None
+    assert blocking_pair_oracle(u, a.links) is None
 
 
 def test_deferred_acceptance_invariant_to_positive_rescaling():

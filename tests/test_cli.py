@@ -222,11 +222,8 @@ def test_infinite_value_exits_2_naming_the_key(key, tmp_path, caplog):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["noise_density_dbm_hz = -3500",
-                                  "noise_figure_db = 3500"])
-def test_a_noise_power_of_zero_or_inf_exits_2_on_every_verb(line, tmp_path,
-                                                             caplog):
-    path = tmp_path / "noise.cfg"
+def _exits_2_on_every_verb(line, message, tmp_path, caplog):
+    path = tmp_path / "bad.cfg"
     path.write_text(f"{TINY}{line}\n")
     out = tmp_path / "x.csv"
     for verb in ("validate-config", "run", "sweep-power", "sweep-elements"):
@@ -236,9 +233,24 @@ def test_a_noise_power_of_zero_or_inf_exits_2_on_every_verb(line, tmp_path,
         caplog.clear()
         with caplog.at_level("ERROR", logger="fr3ris"):
             assert cli.main(argv) == 2
-        assert ("noise_density_dbm_hz, noise_figure_db, bandwidth_mhz: "
-                "noise power") in caplog.text
+        assert message in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["noise_density_dbm_hz = -3500",
+                                  "noise_figure_db = 3500"])
+def test_a_noise_power_of_zero_or_inf_exits_2_on_every_verb(line, tmp_path,
+                                                             caplog):
+    _exits_2_on_every_verb(
+        line, "noise_density_dbm_hz, noise_figure_db, bandwidth_mhz: "
+        "noise power", tmp_path, caplog)
+
+
+def test_a_carrier_frequency_infinite_in_hertz_exits_2_on_every_verb(
+        tmp_path, caplog):
+    _exits_2_on_every_verb("carrier_freq_ghz = 1e300",
+                           "carrier_freq_ghz: 1e+300 GHz is inf Hz",
+                           tmp_path, caplog)
 
 
 def test_missing_config_file_exits_4(tmp_path):

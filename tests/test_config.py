@@ -160,7 +160,10 @@ def test_direct_construction_runs_the_same_checks():
                         _NO_NOISE + "0.0 W"),
                        (dict(noise_figure_db=3500.0), _NO_NOISE + "inf W"),
                        (dict(bandwidth_mhz=1e-320), _NO_NOISE + "0.0 W"),
-                       (dict(bandwidth_mhz=1e303), _NO_NOISE + "inf W")):
+                       (dict(bandwidth_mhz=1e303), _NO_NOISE + "inf W"),
+                       # finite in GHz, infinite in Hz
+                       (dict(carrier_freq_ghz=1e300),
+                        r"carrier_freq_ghz: 1e\+300 GHz is inf Hz")):
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig(**bad)
     with pytest.raises(TypeError, match="rho_variant"):
@@ -260,13 +263,12 @@ def test_list_keys_refuse_a_string_or_a_scalar_naming_the_key(key, value):
         ScenarioConfig().with_updates(**{key: value})
 
 
-_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-
-
 # a bandwidth above about 1.8e302 MHz (below about 1e-310 MHz) gives an
-# infinite (zero) noise power at the default density and figure, which the
+# infinite (zero) noise power at the default density and figure, and a
+# carrier above about 1.8e299 GHz an infinite frequency in hertz, which the
 # config refuses
-@given(p_max_dbm=st.floats(-3000.0, 3000.0), carrier_freq_ghz=_POSITIVE,
+@given(p_max_dbm=st.floats(-3000.0, 3000.0),
+       carrier_freq_ghz=st.floats(0.0, 1e299, exclude_min=True),
        bandwidth_mhz=st.floats(1e-300, 1e300))
 def test_format_then_parse_gives_back_every_value_exactly(
         p_max_dbm, carrier_freq_ghz, bandwidth_mhz):

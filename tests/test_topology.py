@@ -81,15 +81,36 @@ def test_colocated_nodes_rejected():
         NetworkTopology(ap=[0, 0, -1], riss=np.empty((0, 3)), ius=[[1, 1, 1.5]])
 
 
-@pytest.mark.parametrize("ap, ius, error, match", [
-    ([0, 0], [[1, 1, 1.5]], ConfigError, r"ap must have 3 coordinates"),
-    ([0, 0, np.nan], [[1, 1, 1.5]], NumericError, "ap has non-finite"),
-    ([0, 0, 10], [[1, np.inf, 1.5]], NumericError, r"iu\[0\] has non-finite"),
-    ([0, 0, 10], np.empty((0, 3)), ConfigError, "at least one IU"),
-], ids=["ap-2-coordinates", "ap-nan", "iu-inf", "no-iu"])
-def test_malformed_nodes_are_refused_naming_the_node(ap, ius, error, match):
+_NO_RIS = np.empty((0, 3))
+
+
+@pytest.mark.parametrize("ap, riss, ius, error, match", [
+    ([0, 0], _NO_RIS, [[1, 1, 1.5]], ConfigError,
+     r"ap must have 3 coordinates"),
+    ([0, 0, np.nan], _NO_RIS, [[1, 1, 1.5]], NumericError,
+     "ap has non-finite"),
+    ([0, 0, 10], _NO_RIS, [[1, np.inf, 1.5]], NumericError,
+     r"iu\[0\] has non-finite"),
+    ([0, 0, 10], _NO_RIS, np.empty((0, 3)), ConfigError, "at least one IU"),
+    # six numbers that reshape to two IUs, and four that do not reshape
+    ([0, 0, 10], _NO_RIS, [[1, 2], [3, 4], [5, 6]], ConfigError,
+     r"iu positions must be rows of 3 coordinates, got shape \(3, 2\)"),
+    ([0, 0, 10], _NO_RIS, [[1, 2], [3, 4]], ConfigError,
+     r"iu positions must be rows of 3 coordinates, got shape \(2, 2\)"),
+    ([0, 0, 10], [[1, 2]], [[1, 1, 1.5]], ConfigError,
+     r"ris positions must be rows of 3 coordinates, got shape \(1, 2\)"),
+], ids=["ap-2-coordinates", "ap-nan", "iu-inf", "no-iu", "iu-3x2", "iu-2x2",
+        "ris-1x2"])
+def test_malformed_nodes_are_refused_naming_the_node(ap, riss, ius, error,
+                                                     match):
     with pytest.raises(error, match=match):
-        NetworkTopology(ap=ap, riss=np.empty((0, 3)), ius=ius)
+        NetworkTopology(ap=ap, riss=riss, ius=ius)
+
+
+def test_an_empty_node_sequence_means_no_nodes():
+    for riss in ([], np.empty((0, 3))):
+        assert NetworkTopology(ap=[0, 0, 10], riss=riss,
+                               ius=[[1, 1, 1.5]]).riss.shape == (0, 3)
 
 
 def test_an_iu_that_fits_nowhere_outside_the_exclusion_disc_is_refused():
