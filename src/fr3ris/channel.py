@@ -109,10 +109,6 @@ class ChannelSet:
     def num_riss(self):
         return self.ap_ris.shape[0]
 
-    @property
-    def num_elements(self):
-        return self.ap_ris.shape[1]
-
 
 @dataclass(frozen=True)
 class GainMatrix:

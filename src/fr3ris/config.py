@@ -17,8 +17,10 @@ same keys.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
 
+from .channel import _MIN_DISTANCE, pathloss
 from .errors import ConfigError
 
 SCHEME_NAMES = ("matching", "greedy", "random", "exhaustive")
@@ -139,6 +141,18 @@ class ScenarioConfig:
             raise ConfigError(
                 f"carrier_freq_ghz: {self.carrier_freq_ghz} GHz is "
                 f"{self.carrier_freq_hz} Hz, must be finite in hertz")
+        # the longest direct link: an IU at the far corner of the area
+        corner = math.hypot(diagonal, self.ap_height_m - self.iu_height_m)
+        try:
+            loss = pathloss(max(corner, _MIN_DISTANCE), self.carrier_freq_hz,
+                            self.pathloss_exponent)
+        except OverflowError:
+            loss = math.inf  # above the float range, so not below it
+        if not loss >= sys.float_info.min:
+            raise ConfigError(
+                "carrier_freq_ghz, pathloss_exponent, area_m2, ap_height_m, "
+                f"iu_height_m: path loss {loss} at the far corner, {corner:.3f} m "
+                f"from the AP, out of range, must be >= {sys.float_info.min}")
 
     @property
     def carrier_freq_hz(self):

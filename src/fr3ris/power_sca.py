@@ -8,7 +8,7 @@ active-set projected Newton method with a projected-gradient fallback
 (`_kernels.solve_inner`). The stop rules are the constants below.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +32,11 @@ class ScaTrace:
     inner iterations summed over the outer steps, and how many inner
     solves stopped without meeting their tolerance."""
 
-    objective_per_iteration: list = field(default_factory=list)
-    iterations: int = 0
-    converged: bool = False
-    inner_iterations: int = 0
-    inner_unconverged: int = 0
+    objective_per_iteration: list
+    iterations: int
+    converged: bool
+    inner_iterations: int
+    inner_unconverged: int
 
 
 def surrogate_gradient(gm, p_t):

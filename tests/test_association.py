@@ -43,15 +43,31 @@ def _alone(k, l, k_count, l_count):
 
 
 def test_association_constraint_validation():
+    for gamma, links in ((np.array([[1, 0], [0, 1]]), [1, 2]),
+                         (np.zeros((3, 0), dtype=int), [0, 0, 0])):
+        assert Association.from_gamma(gamma).links.tolist() == links
+
+
+_BAD_GAMMAS = [
+    (np.array([[1, 1], [0, 0]]), DimensionError, "one-to-one"),
+    (np.array([[1, 0], [1, 0]]), DimensionError, "one-to-one"),
+    (np.zeros(2, dtype=int), DimensionError,
+     r"gamma must be 2-d, got shape \(2,\)"),
+]
+
+
+@pytest.mark.parametrize("gamma, error, match", _BAD_GAMMAS,
+                         ids=["iu-on-two-surfaces", "surface-serving-two-ius",
+                              "1-d"])
+def test_a_raw_gamma_is_refused_alike_by_every_entry_point(gamma, error,
+                                                           match):
     # a raw gamma takes one path: its conversion into the link-vector check
-    Association.from_gamma(np.array([[1, 0], [0, 1]]))
-    Association.from_gamma(np.zeros((3, 0), dtype=int))
-    with pytest.raises(DimensionError, match="one-to-one"):
-        Association.from_gamma(np.array([[1, 1], [0, 0]]))
-    with pytest.raises(DimensionError, match="one-to-one"):
-        Association.from_gamma(np.array([[1, 0], [1, 0]]))
-    with pytest.raises(NumericError):
-        Association.from_gamma(np.array([[2, 0], [0, 0]]))
+    ch = rand_channelset(np.random.default_rng(54), k=2, l=2, m=3, n=4)
+    for score in (Association.from_gamma,
+                  lambda g: gains_for_association(ch, g, 1e-11),
+                  lambda g: association_sum_rate(ch, g, np.ones(2), 1e-11)):
+        with pytest.raises(error, match=match):
+            score(gamma)
 
 
 @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])

@@ -190,12 +190,6 @@ def test_bad_scheme_name_exits_2(tiny_cfg, tmp_path):
     assert code == 2
 
 
-def test_bad_seed_exits_2(tiny_cfg, tmp_path):
-    code = cli.main(["run", "--config", tiny_cfg,
-                     "--out", str(tmp_path / "x.csv"), "--seed", "-1"])
-    assert code == 2
-
-
 def test_unparsable_values_exit_2(tiny_cfg, tmp_path):
     code = cli.main(["sweep-power", "--config", tiny_cfg,
                      "--out", str(tmp_path / "x.csv"), "--values", "10,abc"])
@@ -206,20 +200,6 @@ def test_non_square_element_value_exits_2(tiny_cfg, tmp_path):
     code = cli.main(["sweep-elements", "--config", tiny_cfg,
                      "--out", str(tmp_path / "x.csv"), "--values", "5"])
     assert code == 2
-
-
-@pytest.mark.parametrize("key", ["carrier_freq_ghz", "bandwidth_mhz",
-                                 "area_m2", "pathloss_exponent"])
-def test_infinite_value_exits_2_naming_the_key(key, tmp_path, caplog):
-    path = tmp_path / "inf.cfg"
-    path.write_text(f"{TINY}{key} = inf\n")
-    out = tmp_path / "x.csv"
-    for argv in (["validate-config"], ["run", "--out", str(out)]):
-        caplog.clear()
-        with caplog.at_level("ERROR", logger="fr3ris"):
-            assert cli.main([*argv, "--config", str(path)]) == 2
-        assert f"{key}: value inf out of range" in caplog.text
-    assert not out.exists()
 
 
 def _exits_2_on_every_verb(line, message, tmp_path, caplog):
@@ -237,6 +217,13 @@ def _exits_2_on_every_verb(line, message, tmp_path, caplog):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["carrier_freq_ghz", "bandwidth_mhz",
+                                 "area_m2", "pathloss_exponent"])
+def test_infinite_value_exits_2_naming_the_key(key, tmp_path, caplog):
+    _exits_2_on_every_verb(f"{key} = inf", f"{key}: value inf out of range",
+                           tmp_path, caplog)
+
+
 @pytest.mark.parametrize("line", ["noise_density_dbm_hz = -3500",
                                   "noise_figure_db = 3500"])
 def test_a_noise_power_of_zero_or_inf_exits_2_on_every_verb(line, tmp_path,
@@ -251,6 +238,15 @@ def test_a_carrier_frequency_infinite_in_hertz_exits_2_on_every_verb(
     _exits_2_on_every_verb("carrier_freq_ghz = 1e300",
                            "carrier_freq_ghz: 1e+300 GHz is inf Hz",
                            tmp_path, caplog)
+
+
+@pytest.mark.parametrize("line", ["carrier_freq_ghz = 1e200",
+                                  "pathloss_exponent = 400"])
+def test_a_direct_link_that_underflows_exits_2_on_every_verb(line, tmp_path,
+                                                             caplog):
+    _exits_2_on_every_verb(
+        line, "carrier_freq_ghz, pathloss_exponent, area_m2, ap_height_m, "
+        "iu_height_m: path loss 0.0 at the far corner", tmp_path, caplog)
 
 
 def test_missing_config_file_exits_4(tmp_path):
@@ -278,15 +274,6 @@ def test_unwritable_output_exits_4_before_sweeping(tiny_cfg, tmp_path,
                              "--out", out])
         assert code == 4
         assert message in caplog.text
-
-
-def test_exhaustive_cap_exits_5(tmp_path):
-    path = tmp_path / "capped.cfg"
-    path.write_text(TINY + "exhaustive_cap = 3\n")
-    code = cli.main(["run", "--config", str(path),
-                     "--out", str(tmp_path / "x.csv"),
-                     "--schemes", "exhaustive"])
-    assert code == 5
 
 
 def test_failed_run_leaves_no_output_file(tmp_path):

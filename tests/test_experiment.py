@@ -59,11 +59,6 @@ def test_all_schemes_coincide_without_riss():
     assert max(vals) - min(vals) <= 1e-12
 
 
-def test_unknown_scheme_rejected():
-    with pytest.raises(ConfigError):
-        _cfg(schemes=("oracle",))
-
-
 def test_sweep_single_point_single_realization():
     cfg = _cfg(realizations=1, schemes=("matching", "greedy"),
                power_sweep_dbm=(17.0,))
@@ -75,15 +70,8 @@ def test_sweep_single_point_single_realization():
 
 
 def test_sweep_value_validation():
-    cfg = _cfg(realizations=1)
-    with pytest.raises(ConfigError, match="increasing"):
-        cfg.with_updates(power_sweep_dbm=(10.0, 10.0))
-    with pytest.raises(ConfigError, match="perfect square"):
-        cfg.with_updates(element_sweep=(24,))
     with pytest.raises(ConfigError, match="sweep variable"):
-        sweep(cfg, "bandwidth")
-    with pytest.raises(ConfigError, match="at least one"):
-        cfg.with_updates(power_sweep_dbm=())
+        sweep(_cfg(realizations=1), "bandwidth")
 
 
 def test_more_power_helps():
