@@ -9,10 +9,13 @@ Pipeline per realization (power_rounds solves total):
   5. report the coupled sum rate of the final pair.
 
 Reproducibility: realization i uses seed master_seed XOR i. The shared
-pipeline prefix draws from one stream; each scheme's own draws come from a
-per-scheme substream, so a scheme's result never depends on which other
-schemes ran alongside it. Sweep aggregation reduces in realization-index
-order, making CSV output bitwise stable under any FR3_THREADS setting.
+pipeline prefix draws from the stream Stream(seed); each scheme's own draws
+come from the substream Stream([seed, scheme index]), so a scheme's result
+never depends on which other schemes ran alongside it. Both are PCG64
+streams bit-equal to numpy's default_rng of the same entropy (see
+stream.py), so no sweep process imports numpy's random package. Sweep
+aggregation reduces in realization-index order, making CSV output bitwise
+stable under any FR3_THREADS setting.
 
 Worker processes: FR3_THREADS > 1 forks W workers per sweep, and worker w
 runs the fixed strided share tasks[w::W] of the point-major task list with
@@ -48,6 +51,7 @@ from .config import SCHEME_NAMES
 from .errors import ConfigError
 from .power_sca import sca_power_for_config
 from .rate import sum_rate
+from .stream import Stream
 from .topology import sample_topology
 
 _SCHEME_STREAM = {name: i + 1 for i, name in enumerate(SCHEME_NAMES)}
@@ -88,7 +92,7 @@ def _run_schemes(cfg, index, schemes):
     """One realization, all requested schemes; shares the scheme-independent
     prefix (topology, channels, seed association, first power solve)."""
     seed = _realization_seed(cfg, index)
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     topo = sample_topology(cfg, rng)
     channels = synthesize_channels(topo, cfg)
     noise = cfg.noise_power_w
@@ -103,7 +107,7 @@ def _run_schemes(cfg, index, schemes):
 
     out = {}
     for scheme in schemes:
-        scheme_rng = np.random.default_rng([seed, _SCHEME_STREAM[scheme]])
+        scheme_rng = Stream([seed, _SCHEME_STREAM[scheme]])
         p = p_star
         u = u_star
         assoc = _associate(scheme, channels, u, p, cfg, scheme_rng)

@@ -97,8 +97,10 @@ def default_ris_positions(cfg):
 def sample_topology(cfg, rng):
     """Draw one realization: fixed AP/RIS mounts, uniform IU drops.
 
-    IU draws closer than cfg.min_ap_iu_separation_m to the AP (horizontal
-    distance) are rejected and redrawn.
+    `rng` is a stream.Stream or a numpy Generator; each IU draw takes
+    rng.uniform(0, side, size=2), its (x, y) in meters. IU draws closer
+    than cfg.min_ap_iu_separation_m to the AP (horizontal distance) are
+    rejected and redrawn.
     """
     side = cfg.area_side_m
     ap = np.array([0.0, 0.0, cfg.ap_height_m])

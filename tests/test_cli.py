@@ -149,28 +149,21 @@ def test_realizations_override_lands_in_csv(tiny_cfg, tmp_path):
     assert out.read_text().splitlines()[1].rsplit(",", 1)[1] == "3"
 
 
-def test_unknown_flag_fails_fast():
+# (id, argv, exit code): argparse exits before any verb runs
+_ARGPARSE_EXITS = [
+    ("unknown-flag", ["run", "--out", "x.csv", "--bogus", "1"], 2),
+    ("unknown-verb", ["frobnicate"], 2),
+    ("run-without-out", ["run"], 2),
+    ("version", ["--version"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", [r[1:] for r in _ARGPARSE_EXITS],
+                         ids=[r[0] for r in _ARGPARSE_EXITS])
+def test_argparse_exits_before_any_verb_runs(argv, code):
     with pytest.raises(SystemExit) as err:
-        cli.main(["run", "--out", "x.csv", "--bogus", "1"])
-    assert err.value.code == 2
-
-
-def test_unknown_verb_fails_fast():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["frobnicate"])
-    assert err.value.code == 2
-
-
-def test_run_requires_out():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["run"])
-    assert err.value.code == 2
-
-
-def test_version_flag():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["--version"])
-    assert err.value.code == 0
+        cli.main(argv)
+    assert err.value.code == code
 
 
 def test_bad_config_key_exits_2(tmp_path, caplog):
